@@ -39,7 +39,6 @@ from .metrology import (
     heisenberg_limit,
     noon_dephased_sensitivity,
     orc_photon_count,
-    phase_sensitivity_numeric,
     phase_sensitivity_small_angle,
     protocol_efficiency,
     sensitivity_for_mask,
@@ -75,7 +74,6 @@ __all__ = [
     "permanent_ryser",
     "permanent_with_repeats",
     "phase_diagonal",
-    "phase_sensitivity_numeric",
     "phase_sensitivity_small_angle",
     "probability_derivative",
     "protocol_efficiency",

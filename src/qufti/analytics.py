@@ -48,28 +48,12 @@ def permanent_closed_form(n: int, phi: float) -> complex:
     return complex(result)
 
 
-def coincidence_probability(n: int, phi: float) -> float:
+def coincidence_probability(n: int, phi: float, damping: float = 1.0) -> float:
     """Probability of one photon in every output mode, |Per(U)|^2.
 
     Real product form: prod_j [a(j) cos(n phi) + b(j)] / n^2. Equals 1 at
-    phi = 0 and is periodic in phi with period 2 pi / n.
-    """
-    return _damped_probability(n, phi, 1.0)
-
-
-def probability_derivative(n: int, phi: float) -> float:
-    """|dP/dphi| of the coincidence probability, analytic form.
-
-    Evaluated as a sum of leave-one-out products rather than P times a sum
-    of ratios, so factors that hit zero do not produce 0/0.
-    """
-    return _damped_derivative(n, phi, 1.0)
-
-
-def _damped_probability(n: int, phi: float, damping: float) -> float:
-    """Probability product with the cosine term scaled by `damping`.
-
-    damping = 1 is the ideal device; dephasing enters as
+    phi = 0 and is periodic in phi with period 2 pi / n. damping = 1 is the
+    ideal device; dephasing scales the cosine term by
     damping = exp(-n^2 <dchi^2> / 2), absorbed into the a(j) coefficients.
     """
     if n < 1:
@@ -81,8 +65,13 @@ def _damped_probability(n: int, phi: float, damping: float) -> float:
     return p
 
 
-def _damped_derivative(n: int, phi: float, damping: float) -> float:
-    """|dP/dphi| with damped cosine coefficients."""
+def probability_derivative(n: int, phi: float, damping: float = 1.0) -> float:
+    """|dP/dphi| of the coincidence probability, analytic form.
+
+    Evaluated as a sum of leave-one-out products rather than P times a sum
+    of ratios, so factors that hit zero do not produce 0/0. `damping`
+    scales the cosine term as in coincidence_probability.
+    """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if n == 1:

@@ -1,7 +1,8 @@
 """Phase sensitivity, resource-counting baselines, efficiency, dephasing.
 
 Sensitivity comes from error propagation on the coincidence observable,
-delta_phi = sqrt(P - P^2) / |dP/dphi|. At phi = 0 this is 0/0; the
+delta_phi = sqrt(P - P^2) / |dP/dphi|, with one estimator for every noise
+level: the ideal device is zero dephasing. At phi = 0 this is 0/0; the
 small-angle limit sqrt(3 / (2 n (n+1) (n-1))) takes over below PHI_EPS.
 Baselines use Ordinal Resource Counting, which converts the linearly
 increasing phase interrogations into an equivalent photon number
@@ -67,17 +68,6 @@ class SensitivityPoint:
     snl: float
     hl: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "phi": self.phi,
-            "P": self.p,
-            "dP": self.dp,
-            "delta_phi": self.delta_phi,
-            "snl": self.snl,
-            "hl": self.hl,
-        }
-
     def to_csv_row(self) -> str:
         return ",".join(
             [str(self.n)]
@@ -109,38 +99,12 @@ class OutcomeDistribution:
             ],
         }
 
-    def to_csv_rows(self) -> list[str]:
-        return [
-            "-".join(map(str, occ)) + "," + repr(p) for occ, p in self.entries
-        ]
-
 
 def phase_sensitivity_small_angle(n: int) -> float:
     """Sensitivity at the phi -> 0 operating point, sqrt(3/(2n(n+1)(n-1)))."""
     if n < 2:
         raise ValueError(f"need n >= 2 for interference, got {n}")
     return math.sqrt(3.0 / (2.0 * n * (n + 1) * (n - 1)))
-
-
-def phase_sensitivity_numeric(n: int, phi: float) -> float:
-    """Sensitivity via error propagation at the given phase.
-
-    Below PHI_EPS the 0/0 limit is replaced by the small-angle closed form.
-    Interior stationary points with P < 1 return math.inf.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2 for interference, got {n}")
-    if abs(phi) < PHI_EPS:
-        return phase_sensitivity_small_angle(n)
-    p = analytics.coincidence_probability(n, phi)
-    if abs(math.sin(n * phi)) < STATIONARY_SIN_TOL:
-        # periodic maximum: the phi = 0 limit applies again; any other
-        # stationary point is a genuine divergence of the estimator
-        if p > 1 - 1e-12:
-            return phase_sensitivity_small_angle(n)
-        return math.inf
-    dp = analytics.probability_derivative(n, phi)
-    return _propagate(p, dp)
 
 
 def _propagate(p: float, dp: float) -> float:
@@ -178,30 +142,31 @@ def protocol_efficiency(eta_source: float, eta_detector: float, n: int) -> float
 
 def dephased_probability(n: int, phi: float, params: DephasingParams) -> float:
     """Coincidence probability with the cosine signal damped by dephasing."""
-    return analytics._damped_probability(n, phi, params.damping(n))
+    return analytics.coincidence_probability(n, phi, params.damping(n))
 
 
 def dephased_derivative(n: int, phi: float, params: DephasingParams) -> float:
     """|dP/dphi| of the dephased probability; same product structure."""
-    return analytics._damped_derivative(n, phi, params.damping(n))
+    return analytics.probability_derivative(n, phi, params.damping(n))
 
 
 def dephased_sensitivity(n: int, phi: float, params: DephasingParams) -> float:
-    """Error-propagation sensitivity under dephasing.
+    """Error-propagation sensitivity; DephasingParams(0.0) is the ideal device.
 
-    With zero noise this reduces exactly to phase_sensitivity_numeric. The
-    small-angle substitute only applies in that noiseless case: dephased
-    P(0) < 1, so phi = 0 is a genuine divergence, not a removable one.
+    Stationary points (sin(n phi) = 0) follow one rule. A noiseless
+    periodic maximum, P = 1, is the removable 0/0 of phi = 0 and takes the
+    small-angle value. Any other is a divergence of the estimator and
+    returns inf; under noise that includes phi = 0, since dephased P(0) < 1.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 for interference, got {n}")
-    if params.chi_sq == 0.0 and abs(phi) < PHI_EPS:
+    noiseless = params.chi_sq == 0.0
+    if noiseless and abs(phi) < PHI_EPS:
         return phase_sensitivity_small_angle(n)
     p = dephased_probability(n, phi, params)
-    if abs(math.sin(n * phi)) < STATIONARY_SIN_TOL and p < 1 - 1e-12:
-        return math.inf
-    dp = dephased_derivative(n, phi, params)
-    return _propagate(p, dp)
+    if abs(math.sin(n * phi)) < STATIONARY_SIN_TOL:
+        return phase_sensitivity_small_angle(n) if noiseless and p > 1 - 1e-12 else math.inf
+    return _propagate(p, dephased_derivative(n, phi, params))
 
 
 def noon_dephased_sensitivity(n_photons: int, phi: float, params: DephasingParams) -> float:
@@ -209,13 +174,16 @@ def noon_dephased_sensitivity(n_photons: int, phi: float, params: DephasingParam
 
     The two-mode NOON signal is cos(N phi); its expectation observable is
     (1 + cos(N phi) d)/2 with d the N-photon damping factor. Undamped and
-    at small phi this saturates the Heisenberg limit 1/N.
+    at every phi this saturates the Heisenberg limit 1/N, which stands in
+    for the 0/0 at stationary points; under noise those diverge.
     """
     if n_photons < 2:
         raise ValueError(f"need N >= 2, got {n_photons}")
+    noiseless = params.chi_sq == 0.0
+    stationary = abs(math.sin(n_photons * phi)) < STATIONARY_SIN_TOL
+    if stationary or (noiseless and abs(phi) < PHI_EPS):
+        return 1.0 / n_photons if noiseless else math.inf
     d = params.damping(n_photons)
-    if params.chi_sq == 0.0 and abs(phi) < PHI_EPS:
-        return 1.0 / n_photons
     p = 0.5 * (1.0 + math.cos(n_photons * phi) * d)
     dp = 0.5 * n_photons * abs(math.sin(n_photons * phi)) * d
     return _propagate(p, dp)

@@ -22,7 +22,6 @@ from qufti import (
     noon_dephased_sensitivity,
     orc_photon_count,
     permanent_closed_form,
-    phase_sensitivity_numeric,
     phase_sensitivity_small_angle,
     probability_derivative,
     protocol_efficiency,
@@ -75,7 +74,7 @@ def test_criterion_3_small_angle_law_and_scaling():
     worst_rel = 0.0
     for n in range(2, 11):
         closed = math.sqrt(3 / (2 * n * (n + 1) * (n - 1)))
-        numeric = phase_sensitivity_numeric(n, 1e-4)
+        numeric = dephased_sensitivity(n, 1e-4, DephasingParams(0.0))
         worst_rel = max(worst_rel, abs(numeric - closed) / closed)
     ns = np.arange(10, 21)
     slope = np.polyfit(
@@ -165,16 +164,29 @@ def test_criterion_8a_dephasing_monotone_and_reduction():
         ]
         monotone &= all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
     zero = DephasingParams(0.0)
+
+    def propagated(n, p):
+        prob = coincidence_probability(n, p)
+        return math.sqrt(prob - prob * prob) / probability_derivative(n, p)
+
     reduction = all(
         abs(dephased_probability(n, p, zero) - coincidence_probability(n, p)) < 1e-12
-        and abs(dephased_sensitivity(n, p, zero) - phase_sensitivity_numeric(n, p)) < 1e-12
+        and abs(dephased_sensitivity(n, p, zero) - propagated(n, p)) < 1e-12
         for n in (2, 5, 9)
         for p in (0.01, 0.3)
     )
+    # periodic maxima phi = 2 pi k / n: small-angle value without noise, inf with it
+    maxima = [(n, 2 * math.pi * k / n) for n in range(2, 13) for k in (1, 2)]
+    periodic = all(
+        dephased_sensitivity(n, p, zero) == phase_sensitivity_small_angle(n)
+        and math.isinf(dephased_sensitivity(n, p, DephasingParams(0.005**2)))
+        for n, p in maxima
+    )
     report(
         "8a. dephasing: sensitivity non-decreasing over the noise sweep; zero "
-        "noise reduces every dephased quantity to its ideal counterpart",
-        monotone and reduction,
+        "noise reduces every dephased quantity to its ideal counterpart and "
+        "gives the small-angle value at every periodic maximum (inf under noise)",
+        monotone and reduction and periodic,
     )
 
 

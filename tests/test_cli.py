@@ -89,6 +89,16 @@ def test_sensitivity_scan_rows(tmp_path):
         assert hl - 1e-12 <= dphi <= snl + 1e-12
 
 
+def test_sensitivity_scan_has_no_n_cap(tmp_path):
+    out = tmp_path / "sens.csv"
+    assert run(["sensitivity-scan", "--n-min", "2", "--n-max", "40", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(2, 41))
+    for fields in rows:
+        n, dphi = int(fields[0]), float(fields[4])
+        assert dphi == pytest.approx(math.sqrt(3 / (2 * n * (n + 1) * (n - 1))), rel=1e-14)
+
+
 def test_dephasing_shape_and_monotonicity(tmp_path):
     out = tmp_path / "deph.csv"
     assert run(["dephasing", "--n-list", "4", "6", "--steps", "11", "--out", str(out)]) == 0
@@ -99,10 +109,11 @@ def test_dephasing_shape_and_monotonicity(tmp_path):
     for line in lines[1:]:
         n, chi, dq, dn = line.split(",")
         per_n.setdefault(int(n), []).append((float(chi), float(dq)))
-    from qufti import phase_sensitivity_numeric
+    from qufti import DephasingParams, dephased_sensitivity
 
     for n, rows in per_n.items():
-        assert rows[0][1] == pytest.approx(phase_sensitivity_numeric(n, 0.01), abs=1e-9)
+        ideal = dephased_sensitivity(n, 0.01, DephasingParams(0.0))
+        assert rows[0][1] == pytest.approx(ideal, abs=1e-9)
         values = [dq for _, dq in rows]
         assert values == sorted(values)
 
@@ -147,3 +158,28 @@ def test_byte_identical_reruns(tmp_path):
     for out in (a, b):
         run(["verify", "--n-max", "5", "--samples", "8", "--out", str(out), "--threads", "2"])
     assert a.read_bytes() == b.read_bytes()
+
+
+# Domain limits are checked by the library alone; the CLI maps its error to exit 2.
+LIBRARY_DOMAIN_ERRORS = [
+    (["verify", "--n-max", "31"], "n_max must be in 2..30, got 31"),
+    (["verify", "--n-max", "1"], "n_max must be in 2..30, got 1"),
+    (["verify", "--n-max", "4", "--samples", "0"], "phi_samples must be >= 1, got 0"),
+    (["distribution", "--n", "8", "--phi", "0.1"], "limited to n <= 7, got 8"),
+    (["distribution", "--n", "0", "--phi", "0.1"], "mode count must be >= 1, got 0"),
+    (["phase-scan", "--n", "0"], "dimension must be >= 1, got 0"),
+    (["sensitivity-scan", "--n-min", "1", "--n-max", "3"], "need n >= 2 for interference, got 1"),
+    (["dephasing", "--n-list", "1", "3"], "need n >= 2 for interference, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", LIBRARY_DOMAIN_ERRORS, ids=["_".join(a) for a, _ in LIBRARY_DOMAIN_ERRORS]
+)
+def test_library_domain_error_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err

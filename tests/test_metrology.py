@@ -20,8 +20,8 @@ from qufti import (
     noon_dephased_sensitivity,
     orc_photon_count,
     permanent_ryser,
-    phase_sensitivity_numeric,
     phase_sensitivity_small_angle,
+    probability_derivative,
     protocol_efficiency,
     sensitivity_for_mask,
     shotnoise_limit,
@@ -46,22 +46,22 @@ def test_small_angle_rejects_n1():
     with pytest.raises(ValueError):
         phase_sensitivity_small_angle(1)
     with pytest.raises(ValueError):
-        phase_sensitivity_numeric(1, 0.1)
+        dephased_sensitivity(1, 0.1, DephasingParams(0.0))
 
 
 @pytest.mark.parametrize("n,expected", [(2, 0.5), (3, 0.25), (4, math.sqrt(3 / 120))])
 def test_numeric_sensitivity_near_zero(n, expected):
-    assert phase_sensitivity_numeric(n, 1e-4) == pytest.approx(expected, rel=1e-5)
+    assert dephased_sensitivity(n, 1e-4, DephasingParams(0.0)) == pytest.approx(expected, rel=1e-5)
 
 
 def test_numeric_sensitivity_small_angle_switchover():
-    assert phase_sensitivity_numeric(5, 1e-9) == phase_sensitivity_small_angle(5)
+    assert dephased_sensitivity(5, 1e-9, DephasingParams(0.0)) == phase_sensitivity_small_angle(5)
 
 
 def test_numeric_sensitivity_divergence_flag():
     # n=2: P = cos^2(phi) has a stationary minimum at phi = pi/2 with P = 0;
     # probe the interior stationary point of n=4 at phi = pi/4 where P < 1
-    val = phase_sensitivity_numeric(4, math.pi / 4)
+    val = dephased_sensitivity(4, math.pi / 4, DephasingParams(0.0))
     assert math.isinf(val)
 
 
@@ -112,9 +112,17 @@ def test_dephasing_zero_noise_reduction():
         assert dephased_probability(n, phi, params) == pytest.approx(
             coincidence_probability(n, phi), abs=1e-12
         )
-    assert dephased_sensitivity(4, 1e-4, params) == pytest.approx(
-        phase_sensitivity_numeric(4, 1e-4), rel=1e-9
-    )
+    for n, phi in [(2, 0.3), (4, 1e-4), (5, 0.01), (8, 1.2)]:
+        p = coincidence_probability(n, phi)
+        expected = math.sqrt(p - p * p) / probability_derivative(n, phi)
+        assert dephased_sensitivity(n, phi, params) == pytest.approx(expected, rel=1e-12)
+    # periodic maxima phi = 2 pi k / n: P = 1 again, so the noiseless value
+    # is the phi = 0 limit; under noise P < 1 and the estimator diverges
+    for n in range(2, 13):
+        for k in (1, 2):
+            phi = 2 * math.pi * k / n
+            assert dephased_sensitivity(n, phi, params) == phase_sensitivity_small_angle(n)
+            assert math.isinf(dephased_sensitivity(n, phi, DephasingParams(0.005**2)))
 
 
 def test_dephasing_rejects_negative_variance():
@@ -167,6 +175,14 @@ def test_noon_saturates_heisenberg_without_noise():
         assert noon_dephased_sensitivity(big_n, 1e-10, DephasingParams(0.0)) == pytest.approx(
             1 / big_n
         )
+
+
+@pytest.mark.parametrize("big_n", [2, 5, 16])
+def test_noon_stationary_points(big_n):
+    # phi = pi/N puts the NOON signal at its minimum, sin(N phi) = 0
+    phi = math.pi / big_n
+    assert noon_dephased_sensitivity(big_n, phi, DephasingParams(0.0)) == 1 / big_n
+    assert math.isinf(noon_dephased_sensitivity(big_n, phi, DephasingParams(0.005**2)))
 
 
 def test_noon_degrades_with_noise():
@@ -222,7 +238,7 @@ def test_distribution_size_guard():
 def test_mask_sensitivity_gradient_consistency():
     spec = InterferometerSpec(n=4, phi=0.0)
     assert sensitivity_for_mask(spec, 0.05) == pytest.approx(
-        phase_sensitivity_numeric(4, 0.05), rel=1e-4
+        dephased_sensitivity(4, 0.05, DephasingParams(0.0)), rel=1e-4
     )
 
 
@@ -244,7 +260,7 @@ def test_custom_mask_gradient_weights_match_gradient():
     # weights (0, 1, 2, 3) reproduce the linear gradient
     spec = InterferometerSpec(n=4, phi=0.0, mask=CustomMask((0.0, 1.0, 2.0, 3.0)))
     assert sensitivity_for_mask(spec, 0.05) == pytest.approx(
-        phase_sensitivity_numeric(4, 0.05), rel=1e-4
+        dephased_sensitivity(4, 0.05, DephasingParams(0.0)), rel=1e-4
     )
 
 
@@ -263,8 +279,6 @@ def test_outcome_distribution_serialization():
     d = dist.to_json_dict()
     assert d["n"] == 2
     assert all({"occupation", "probability"} == set(e) for e in d["entries"])
-    rows = dist.to_csv_rows()
-    assert rows[0].split(",")[0].count("-") == 1
 
 
 def test_fock_probability_against_raw_permanent():

@@ -25,7 +25,6 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--outdir", default="figures_data")
     parser.add_argument("--n-max", type=int, default=12)
-    parser.add_argument("--threads", type=int, default=0)
     args = parser.parse_args()
 
     out = Path(args.outdir)
@@ -33,7 +32,7 @@ def main():
 
     run([
         "verify", "--n-max", str(args.n_max), "--samples", "64",
-        "--out", str(out / "conjecture_report.json"), "--threads", str(args.threads),
+        "--out", str(out / "conjecture_report.json"),
     ])
     for n in (2, 4, 6, 8):
         run(["phase-scan", "--n", str(n), "--steps", "361",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,38 +116,23 @@ class ConjectureReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _scan_one_n(args: tuple[int, int]) -> tuple[float, int, float]:
-    """Worst absolute error for a single matrix size over the phi grid."""
-    n, phi_samples = args
-    worst = (-1.0, n, 0.0)
-    for phi in np.linspace(0.0, 2 * np.pi, phi_samples, endpoint=False):
-        spec = InterferometerSpec(n=n, phi=float(phi))
-        err = abs(permanent_ryser(compose_qufti(spec)) - permanent_closed_form(n, float(phi)))
-        if err > worst[0]:
-            worst = (err, n, float(phi))
-    return worst
-
-
-def conjecture_verify(
-    n_max: int, phi_samples: int, workers: int = 1
-) -> ConjectureReport:
+def conjecture_verify(n_max: int, phi_samples: int) -> ConjectureReport:
     """Check the product form against the Ryser permanent on a phi grid.
 
-    Scans n = 2..n_max and phi_samples uniform points over [0, 2 pi).
-    Work is distributed per n; the max-reduction over ordered results is
-    deterministic regardless of worker count.
+    Scans n = 2..n_max and phi_samples uniform points over [0, 2 pi); the
+    first worst case in scan order is reported.
     """
     if not 2 <= n_max <= RYSER_DIM_LIMIT:
         raise SizeLimitError(f"n_max must be in 2..{RYSER_DIM_LIMIT}, got {n_max}")
     if phi_samples < 1:
         raise ValueError(f"phi_samples must be >= 1, got {phi_samples}")
-    jobs = [(n, phi_samples) for n in range(2, n_max + 1)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_one_n, jobs))
-    else:
-        results = [_scan_one_n(job) for job in jobs]
-    err, n_worst, phi_worst = max(results, key=lambda r: r[0])
+    err, n_worst, phi_worst = -1.0, 2, 0.0
+    for n in range(2, n_max + 1):
+        for phi in np.linspace(0.0, 2 * np.pi, phi_samples, endpoint=False):
+            spec = InterferometerSpec(n=n, phi=float(phi))
+            e = abs(permanent_ryser(compose_qufti(spec)) - permanent_closed_form(n, float(phi)))
+            if e > err:
+                err, n_worst, phi_worst = e, n, float(phi)
     return ConjectureReport(
         n_range=(2, n_max),
         samples=phi_samples,

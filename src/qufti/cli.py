@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -27,8 +26,7 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    workers = args.threads if args.threads else (os.cpu_count() or 1)
-    report = analytics.conjecture_verify(args.n_max, args.samples, workers=workers)
+    report = analytics.conjecture_verify(args.n_max, args.samples)
     _write_lines(args.out, [report.to_json()])
     if report.max_abs_error < VERIFY_THRESHOLD:
         print(f"conjecture holds: max |error| = {report.max_abs_error:.3e}")
@@ -102,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--out", default="conjecture_report.json")
-    p.add_argument("--threads", type=int, default=0, help="worker cap, 0 = all cores")
+    p.add_argument("--threads", type=int, default=0, help="accepted and ignored")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("phase-scan", help="coincidence probability vs phase (CSV)")

@@ -9,8 +9,8 @@ increasing phase interrogations into an equivalent photon number
 N = 1 + n(n-1)/2; the shot-noise and Heisenberg limits are 1/sqrt(N)
 and 1/N of that count.
 
-Divergent sensitivities (zero derivative while P < 1) are returned as
-math.inf rather than raised, so sweep outputs stay rectangular.
+Divergent sensitivities (zero derivative while 0 < P < 1) are returned
+as math.inf rather than raised, so sweep outputs stay rectangular.
 """
 
 from __future__ import annotations
@@ -153,19 +153,28 @@ def dephased_derivative(n: int, phi: float, params: DephasingParams) -> float:
 def dephased_sensitivity(n: int, phi: float, params: DephasingParams) -> float:
     """Error-propagation sensitivity; DephasingParams(0.0) is the ideal device.
 
-    Stationary points (sin(n phi) = 0) follow one rule. A noiseless
-    periodic maximum, P = 1, is the removable 0/0 of phi = 0 and takes the
-    small-angle value. Any other is a divergence of the estimator and
-    returns inf; under noise that includes phi = 0, since dephased P(0) < 1.
+    Stationary points (sin(n phi) = 0) are decided by noise, the sign of
+    cos(n phi) and the parity of n. Noiseless, cos(n phi) = 1 is the P = 1
+    maximum, the removable 0/0 of phi = 0: the small-angle value. For even
+    n, cos(n phi) = -1 zeroes the j = n/2 factor, so P = 0 is another
+    removable 0/0 with limit 1 / (n prod_{j != n/2} |n - 2j| / n). Any
+    other stationary point, odd n at cos(n phi) = -1 (tiny P > 0) or any
+    under noise, is a divergence of the estimator and returns inf.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 for interference, got {n}")
     noiseless = params.chi_sq == 0.0
     if noiseless and abs(phi) < PHI_EPS:
         return phase_sensitivity_small_angle(n)
-    p = dephased_probability(n, phi, params)
     if abs(math.sin(n * phi)) < STATIONARY_SIN_TOL:
-        return phase_sensitivity_small_angle(n) if noiseless and p > 1 - 1e-12 else math.inf
+        if not noiseless:
+            return math.inf
+        if math.cos(n * phi) > 0:
+            return phase_sensitivity_small_angle(n)
+        if n % 2 == 0:
+            return 1.0 / (n * math.prod(abs(n - 2 * j) / n for j in range(1, n) if 2 * j != n))
+        return math.inf
+    p = dephased_probability(n, phi, params)
     return _propagate(p, dephased_derivative(n, phi, params))
 
 
@@ -224,12 +233,9 @@ def sensitivity_for_mask(spec: InterferometerSpec, phi_probe: float) -> float:
     with no closed form (single-mode, custom). spec.phi is ignored in favor
     of phi_probe. A custom mask's phases are treated as per-mode weights
     multiplied by the probed phase: fixed absolute phases would have zero
-    derivative and no sensitivity to speak of.
+    derivative and no sensitivity to speak of. The cost is three Ryser
+    permanents, bounded by the kernel's own size guard.
     """
-    if spec.n > DISTRIBUTION_MODE_LIMIT:
-        raise SizeLimitError(
-            f"numeric mask sensitivity limited to n <= {DISTRIBUTION_MODE_LIMIT}, got {spec.n}"
-        )
 
     def prob(phi: float) -> float:
         probed = _respec_phi(spec, phi)

@@ -22,6 +22,9 @@ from .exceptions import SizeLimitError
 NAIVE_DIM_LIMIT = 10
 RYSER_DIM_LIMIT = 30
 
+# Gray-code steps evaluated per vectorised block of the Ryser walk.
+_BLOCK = 1024
+
 
 def _check_square(m: NDArray[np.complex128]) -> int:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -54,7 +57,9 @@ def permanent_ryser(m: NDArray[np.complex128]) -> complex:
 
     Per(A) = (-1)^n sum over nonempty column subsets S of
     (-1)^|S| prod_i sum_{j in S} A[i,j]. Subsets are visited in Gray-code
-    order so each step updates the row sums by a single column.
+    order so each step updates the row sums by a single column. The walk
+    runs in blocks of _BLOCK steps; both running sums are sequential
+    cumsums carried across blocks, so the adds are those of a step loop.
     """
     n = _check_square(m)
     if n > RYSER_DIM_LIMIT:
@@ -62,24 +67,22 @@ def permanent_ryser(m: NDArray[np.complex128]) -> complex:
             f"Ryser permanent limited to dim <= {RYSER_DIM_LIMIT}, got {n}"
         )
     a = np.ascontiguousarray(m, dtype=np.complex128)
+    signed_cols = np.concatenate([a.T, -a.T])  # column j enters at j, leaves at n + j
     row_sums = np.zeros(n, dtype=np.complex128)
     total = 0j
-    sign = 1  # (-1)^|S| tracked incrementally
-    gray = 0
-    for step in range(1, 1 << n):
-        new_gray = step ^ (step >> 1)
-        flipped = (gray ^ new_gray).bit_length() - 1
-        if new_gray & (1 << flipped):
-            row_sums += a[:, flipped]
-            sign = -sign
-        else:
-            row_sums -= a[:, flipped]
-            sign = -sign
-        gray = new_gray
-        total += sign * complex(np.prod(row_sums))
-    if n % 2:
-        total = -total
-    return total
+    for start in range(1, 1 << n, _BLOCK):
+        step = np.arange(start, min(start + _BLOCK, 1 << n))
+        # Step k flips the bit of k's lowest set bit; frexp(2^t) is exact.
+        flipped = np.frexp(step & -step)[1] - 1
+        leaving = ((step ^ (step >> 1)) >> flipped) & 1 == 0
+        deltas = signed_cols[flipped + n * leaving]
+        deltas[0] += row_sums
+        sums = np.cumsum(deltas, axis=0)
+        row_sums = sums[-1]
+        terms = np.prod(sums, axis=1) * np.where(step & 1, -1.0, 1.0)  # (-1)^|S|
+        terms[0] += total
+        total = complex(np.cumsum(terms)[-1])
+    return -total if n % 2 else total
 
 
 def permanent_with_repeats(

@@ -57,12 +57,6 @@ def test_conjecture_agrees_at_zero_phase():
         assert abs(permanent_closed_form(n, 0.0) - 1) < 1e-12
 
 
-def test_conjecture_parallel_matches_serial():
-    serial = conjecture_verify(5, 16, workers=1)
-    parallel = conjecture_verify(5, 16, workers=2)
-    assert serial == parallel
-
-
 def test_conjecture_range_guard():
     with pytest.raises(SizeLimitError):
         conjecture_verify(1, 8)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,10 +158,27 @@ def test_byte_identical_reruns(tmp_path):
     for out in (a, b):
         run(["phase-scan", "--n", "5", "--steps", "50", "--out", str(out)])
     assert a.read_bytes() == b.read_bytes()
+    # --threads is accepted and ignored: different values, same bytes
     a, b = tmp_path / "ra.json", tmp_path / "rb.json"
-    for out in (a, b):
-        run(["verify", "--n-max", "5", "--samples", "8", "--out", str(out), "--threads", "2"])
+    for out, threads in ((a, "1"), (b, "2")):
+        run(["verify", "--n-max", "5", "--samples", "8", "--out", str(out), "--threads", threads])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_reproduce_figures_script(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_figures.py"),
+         "--n-max", "6", "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "conjecture_report.json", "dephasing.csv", "phase_scan_n2.csv", "phase_scan_n4.csv",
+        "phase_scan_n6.csv", "phase_scan_n8.csv", "sensitivity_scan.csv",
+    ]
+    assert json.loads((tmp_path / "conjecture_report.json").read_text())["n_range"] == [2, 6]
 
 
 # Domain limits are checked by the library alone; the CLI maps its error to exit 2.

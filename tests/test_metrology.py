@@ -58,11 +58,36 @@ def test_numeric_sensitivity_small_angle_switchover():
     assert dephased_sensitivity(5, 1e-9, DephasingParams(0.0)) == phase_sensitivity_small_angle(5)
 
 
-def test_numeric_sensitivity_divergence_flag():
-    # n=2: P = cos^2(phi) has a stationary minimum at phi = pi/2 with P = 0;
-    # probe the interior stationary point of n=4 at phi = pi/4 where P < 1
-    val = dephased_sensitivity(4, math.pi / 4, DephasingParams(0.0))
-    assert math.isinf(val)
+# Stationary points phi = pi/n, where cos(n phi) = -1. Even n: P = 0 there and
+# the noiseless limit is 1 / (n prod_{j != n/2} |n - 2j| / n). Odd n: P is a
+# tiny positive minimum, a true divergence. Under noise every one diverges.
+STATIONARY_CASES = [
+    (2, 0.0, 0.5),
+    (4, 0.0, 1.0),
+    (6, 0.0, 3.375),
+    (8, 0.0, 128 / 9),
+    (3, 0.0, math.inf),
+    (15, 0.0, math.inf),
+    (25, 0.0, math.inf),
+    (4, 0.005**2, math.inf),
+]
+
+
+@pytest.mark.parametrize(
+    "n,chi_sq,expected",
+    STATIONARY_CASES,
+    ids=[f"n{n}_{'noisy' if c else 'noiseless'}" for n, c, _ in STATIONARY_CASES],
+)
+def test_numeric_sensitivity_stationary_points(n, chi_sq, expected):
+    phi0 = math.pi / n
+    val = dephased_sensitivity(n, phi0, DephasingParams(chi_sq))
+    assert val == pytest.approx(expected, rel=1e-12)
+    if math.isfinite(expected):
+        # the limit is removable: the estimator just off the point agrees
+        for phi in (phi0 - 1e-6, phi0 + 1e-6):
+            assert dephased_sensitivity(n, phi, DephasingParams(0.0)) == pytest.approx(
+                expected, rel=1.2e-5
+            )
 
 
 def test_orc_photon_count():
@@ -240,6 +265,19 @@ def test_mask_sensitivity_gradient_consistency():
     assert sensitivity_for_mask(spec, 0.05) == pytest.approx(
         dephased_sensitivity(4, 0.05, DephasingParams(0.0)), rel=1e-4
     )
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_mask_sensitivity_beyond_distribution_limit(n):
+    phi = 0.05 / n
+    assert sensitivity_for_mask(InterferometerSpec(n=n, phi=0.0), phi) == pytest.approx(
+        dephased_sensitivity(n, phi, DephasingParams(0.0)), rel=1e-6
+    )
+
+
+def test_mask_sensitivity_size_guard():
+    with pytest.raises(SizeLimitError):
+        sensitivity_for_mask(InterferometerSpec(n=31, phi=0.0), 0.01)
 
 
 def test_single_mode_mask_is_worse_than_gradient():

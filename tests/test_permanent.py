@@ -108,6 +108,41 @@ def test_ryser_bit_reproducible():
     assert permanent_ryser(m) == permanent_ryser(m.copy())
 
 
+def ryser_step_loop(m):
+    """Reference: the Gray-code walk one step at a time, in the kernel's order."""
+    n = m.shape[0]
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    row_sums = np.zeros(n, dtype=np.complex128)
+    total = 0j
+    sign = 1
+    gray = 0
+    for step in range(1, 1 << n):
+        new_gray = step ^ (step >> 1)
+        flipped = (gray ^ new_gray).bit_length() - 1
+        if new_gray & (1 << flipped):
+            row_sums += a[:, flipped]
+        else:
+            row_sums -= a[:, flipped]
+        sign = -sign
+        gray = new_gray
+        total += sign * complex(np.prod(row_sums))
+    return -total if n % 2 else total
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_ryser_bit_identical_to_step_loop(n):
+    # n = 11, 12, 13 walk 2, 4 and 8 blocks, so the carries between blocks count
+    rng = np.random.default_rng(1000 + n)
+    m = random_unit_disk_matrix(rng, n)
+    assert permanent_ryser(m) == ryser_step_loop(m)
+
+
+def test_ryser_bit_identical_to_step_loop_verify_grid():
+    for phi in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
+        u = compose_qufti(InterferometerSpec(n=12, phi=float(phi)))
+        assert permanent_ryser(u) == ryser_step_loop(u)
+
+
 def test_with_repeats_all_ones_multiplicity():
     rng = np.random.default_rng(11)
     m = random_unit_disk_matrix(rng, 5)

@@ -10,29 +10,23 @@ with efficiency and dephasing models.
 
 from .analytics import (
     ConjectureReport,
-    coefficient_a,
-    coefficient_b,
     coincidence_probability,
     conjecture_verify,
     permanent_closed_form,
     probability_derivative,
 )
-from .exceptions import SingularEntryError, SizeLimitError
+from .exceptions import SizeLimitError
 from .matrices import (
     CustomMask,
     InterferometerSpec,
     LinearGradientMask,
     SingleModeMask,
     compose_qufti,
-    is_unitary,
-    phase_diagonal,
     qft_matrix,
-    qufti_entry_closed_form,
 )
 from .metrology import (
     DephasingParams,
     OutcomeDistribution,
-    SensitivityPoint,
     dephased_probability,
     dephased_sensitivity,
     fock_output_distribution,
@@ -53,12 +47,8 @@ __all__ = [
     "InterferometerSpec",
     "LinearGradientMask",
     "OutcomeDistribution",
-    "SensitivityPoint",
     "SingleModeMask",
-    "SingularEntryError",
     "SizeLimitError",
-    "coefficient_a",
-    "coefficient_b",
     "coincidence_probability",
     "compose_qufti",
     "conjecture_verify",
@@ -66,19 +56,16 @@ __all__ = [
     "dephased_sensitivity",
     "fock_output_distribution",
     "heisenberg_limit",
-    "is_unitary",
     "noon_dephased_sensitivity",
     "orc_photon_count",
     "permanent_closed_form",
     "permanent_naive",
     "permanent_ryser",
     "permanent_with_repeats",
-    "phase_diagonal",
     "phase_sensitivity_small_angle",
     "probability_derivative",
     "protocol_efficiency",
     "qft_matrix",
-    "qufti_entry_closed_form",
     "sensitivity_for_mask",
     "shotnoise_limit",
 ]

@@ -21,14 +21,17 @@ from .matrices import InterferometerSpec, compose_qufti
 from .permanent import RYSER_DIM_LIMIT, permanent_ryser
 
 
-def coefficient_a(n: int, j: int) -> float:
-    """Cosine-term coefficient 2j(n-j) of the probability product, j = 1..n-1."""
-    return float(2 * j * (n - j))
+def _factors(n: int, c: float) -> list[float]:
+    """The n - 1 factors [a(j) c + b(j)] / n^2 of the probability product.
 
-
-def coefficient_b(n: int, j: int) -> float:
-    """Constant coefficient n^2 - 2jn + 2j^2; note a + b = n^2 and b - a = (n-2j)^2."""
-    return float(n * n - 2 * j * n + 2 * j * j)
+    a(j) = 2j(n-j) and b(j) = n^2 - 2jn + 2j^2 for j = 1..n-1; note
+    a + b = n^2 and b - a = (n-2j)^2. c is cos(n phi) times the damping.
+    b(j) stays parenthesised: summed apart, it keeps the rounding bit for bit.
+    """
+    return [
+        (2 * j * (n - j) * c + (n * n - 2 * j * n + 2 * j * j)) / (n * n)
+        for j in range(1, n)
+    ]
 
 
 def permanent_closed_form(n: int, phi: float) -> complex:
@@ -57,11 +60,7 @@ def coincidence_probability(n: int, phi: float, damping: float = 1.0) -> float:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    c = math.cos(n * phi) * damping
-    p = 1.0
-    for j in range(1, n):
-        p *= (coefficient_a(n, j) * c + coefficient_b(n, j)) / (n * n)
-    return p
+    return math.prod(_factors(n, math.cos(n * phi) * damping), start=1.0)
 
 
 def probability_derivative(n: int, phi: float, damping: float = 1.0) -> float:
@@ -73,13 +72,7 @@ def probability_derivative(n: int, phi: float, damping: float = 1.0) -> float:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    if n == 1:
-        return 0.0
-    c = math.cos(n * phi) * damping
-    factors = [
-        (coefficient_a(n, j) * c + coefficient_b(n, j)) / (n * n)
-        for j in range(1, n)
-    ]
+    factors = _factors(n, math.cos(n * phi) * damping)
     # prefix[i] * suffix[i] = product of all factors except factors[i]
     m = len(factors)
     prefix = [1.0] * (m + 1)
@@ -89,7 +82,7 @@ def probability_derivative(n: int, phi: float, damping: float = 1.0) -> float:
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] * factors[i]
     leave_one_out = sum(
-        (coefficient_a(n, j) / (n * n)) * prefix[j - 1] * suffix[j]
+        (2 * j * (n - j) / (n * n)) * prefix[j - 1] * suffix[j]
         for j in range(1, n)
     )
     return n * abs(math.sin(n * phi)) * damping * leave_one_out

@@ -49,18 +49,12 @@ def cmd_phase_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_sensitivity_scan(args: argparse.Namespace) -> int:
-    lines = [metrology.CSV_HEADER]
+    lines = ["n,phi,P,dP,delta_phi,snl,hl"]
     for n in range(args.n_min, args.n_max + 1):
-        point = metrology.SensitivityPoint(
-            n=n,
-            phi=0.0,
-            p=1.0,
-            dp=0.0,
-            delta_phi=metrology.phase_sensitivity_small_angle(n),
-            snl=metrology.shotnoise_limit(n),
-            hl=metrology.heisenberg_limit(n),
-        )
-        lines.append(point.to_csv_row())
+        delta = metrology.phase_sensitivity_small_angle(n)
+        snl = metrology.shotnoise_limit(n)
+        hl = metrology.heisenberg_limit(n)
+        lines.append(f"{n},0.0,1.0,0.0,{delta!r},{snl!r},{hl!r}")
     _write_lines(args.out, lines)
     return 0
 

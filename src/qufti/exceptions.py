@@ -3,7 +3,3 @@
 
 class SizeLimitError(ValueError):
     """Requested problem size exceeds a configured guard."""
-
-
-class SingularEntryError(ValueError):
-    """Closed-form matrix entry is singular; use the matrix-product path."""

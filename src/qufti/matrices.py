@@ -3,8 +3,8 @@
 The interferometer is U = V . D . V+, where V is the n-mode quantum
 Fourier transform matrix and D a diagonal phase mask. The default mask is
 a linear phase gradient: mode j (1-based) picks up phase (j-1)*(phi+theta).
-A closed-form expression for the entries of U exists for the gradient mask
-and is provided here as an independent cross-check of the matrix product.
+The tests cross-check the matrix product against a closed-form
+expression for the entries of U under the gradient mask.
 """
 
 from __future__ import annotations
@@ -14,14 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-
-from .exceptions import SingularEntryError
-
-# Max-norm tolerance below which a matrix counts as unitary.
-UNITARITY_TOL = 1e-10
-
-# Denominator modulus below which the closed-form entry is treated as 0/0.
-SINGULAR_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -92,11 +84,6 @@ def qft_matrix(n: int) -> NDArray[np.complex128]:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def phase_diagonal(spec: InterferometerSpec) -> NDArray[np.complex128]:
-    """Diagonal phase-mask matrix for the given spec."""
-    return np.diag(phase_vector(spec))
-
-
 def phase_vector(spec: InterferometerSpec) -> NDArray[np.complex128]:
     """Diagonal of the phase mask as a vector of unit-modulus amplitudes."""
     n = spec.n
@@ -115,28 +102,3 @@ def compose_qufti(spec: InterferometerSpec) -> NDArray[np.complex128]:
     v = qft_matrix(spec.n)
     d = phase_vector(spec)
     return (v * d) @ v.conj().T
-
-
-def qufti_entry_closed_form(n: int, j: int, k: int, phi: float) -> complex:
-    """Entry U[j,k] of the gradient-mask interferometer via geometric series.
-
-    Returns (1 - e^{i n phi}) / (n (e^{2 pi i (j-k)/n} - e^{i phi})).
-    Raises SingularEntryError when the denominator vanishes (e.g. phi = 0,
-    where the formula is 0/0); callers fall back to compose_qufti there.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if not (1 <= j <= n and 1 <= k <= n):
-        raise ValueError(f"indices ({j},{k}) outside 1..{n}")
-    denom = np.exp(2j * np.pi * (j - k) / n) - np.exp(1j * phi)
-    if abs(denom) < SINGULAR_TOL:
-        raise SingularEntryError(
-            f"closed form singular at n={n}, j={j}, k={k}, phi={phi}"
-        )
-    return complex((1 - np.exp(1j * n * phi)) / (n * denom))
-
-
-def is_unitary(m: NDArray[np.complex128], tol: float = UNITARITY_TOL) -> bool:
-    """True when ||M M+ - I||_max < tol."""
-    n = m.shape[0]
-    return bool(np.max(np.abs(m @ m.conj().T - np.eye(n))) < tol)

@@ -32,13 +32,11 @@ PHI_EPS = 1e-8
 # |sin(n phi)| below this counts as an interior stationary point.
 STATIONARY_SIN_TOL = 1e-12
 
-# Central finite-difference step for the numeric-derivative paths.
+# Central finite-difference step of sensitivity_for_mask, the one numeric derivative.
 FD_STEP = 1e-6
 
 # Outcome enumeration guard: C(2n-1, n) outcomes, each needing a permanent.
 DISTRIBUTION_MODE_LIMIT = 7
-
-CSV_HEADER = "n,phi,P,dP,delta_phi,snl,hl"
 
 
 @dataclass(frozen=True)
@@ -54,25 +52,6 @@ class DephasingParams:
     def damping(self, n: int) -> float:
         """Signal damping factor exp(-n^2 <dchi^2> / 2)."""
         return math.exp(-0.5 * n * n * self.chi_sq)
-
-
-@dataclass(frozen=True)
-class SensitivityPoint:
-    """One row of a sensitivity sweep."""
-
-    n: int
-    phi: float
-    p: float
-    dp: float
-    delta_phi: float
-    snl: float
-    hl: float
-
-    def to_csv_row(self) -> str:
-        return ",".join(
-            [str(self.n)]
-            + [repr(v) for v in (self.phi, self.p, self.dp, self.delta_phi, self.snl, self.hl)]
-        )
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,9 @@ def permanent_naive(m: NDArray[np.complex128]) -> complex:
 def permanent_ryser(m: NDArray[np.complex128]) -> complex:
     """Permanent via Ryser's inclusion-exclusion formula.
 
-    Per(A) = (-1)^n sum over nonempty column subsets S of
-    (-1)^|S| prod_i sum_{j in S} A[i,j]. Subsets are visited in Gray-code
+    Per(A) = (-1)^n sum over column subsets S of
+    (-1)^|S| prod_i sum_{j in S} A[i,j]; the empty subset adds 0, or the
+    empty permanent 1 when n = 0. Subsets are visited in Gray-code
     order so each step updates the row sums by a single column. The walk
     runs in blocks of _BLOCK steps; both running sums are sequential
     cumsums carried across blocks, so the adds are those of a step loop.
@@ -69,7 +70,7 @@ def permanent_ryser(m: NDArray[np.complex128]) -> complex:
     a = np.ascontiguousarray(m, dtype=np.complex128)
     signed_cols = np.concatenate([a.T, -a.T])  # column j enters at j, leaves at n + j
     row_sums = np.zeros(n, dtype=np.complex128)
-    total = 0j
+    total = 0j if n else 1 + 0j  # the empty subset's product of n zero row sums
     for start in range(1, 1 << n, _BLOCK):
         step = np.arange(start, min(start + _BLOCK, 1 << n))
         # Step k flips the bit of k's lowest set bit; frexp(2^t) is exact.

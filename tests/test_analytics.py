@@ -130,3 +130,44 @@ def test_derivative_matches_finite_difference(n, phi):
     assert abs(math.sin(n * phi)) > 1e-3
     fd = abs(finite_difference(lambda x: coincidence_probability(n, x), phi))
     assert probability_derivative(n, phi) == pytest.approx(fd, rel=1e-5)
+
+
+def probability_per_coefficient(n, phi, damping):
+    """Reference: the product accumulated one a(j), b(j) coefficient pair at a time."""
+    c = math.cos(n * phi) * damping
+    p = 1.0
+    for j in range(1, n):
+        p *= (float(2 * j * (n - j)) * c + float(n * n - 2 * j * n + 2 * j * j)) / (n * n)
+    return p
+
+
+def derivative_per_coefficient(n, phi, damping):
+    """Reference: leave-one-out sum over factors rebuilt from a(j), b(j)."""
+    if n == 1:
+        return 0.0
+    c = math.cos(n * phi) * damping
+    a = [float(2 * j * (n - j)) for j in range(1, n)]
+    b = [float(n * n - 2 * j * n + 2 * j * j) for j in range(1, n)]
+    factors = [(a[j - 1] * c + b[j - 1]) / (n * n) for j in range(1, n)]
+    m = len(factors)
+    prefix = [1.0] * (m + 1)
+    for i in range(m):
+        prefix[i + 1] = prefix[i] * factors[i]
+    suffix = [1.0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * factors[i]
+    leave_one_out = sum((a[j - 1] / (n * n)) * prefix[j - 1] * suffix[j] for j in range(1, n))
+    return n * abs(math.sin(n * phi)) * damping * leave_one_out
+
+
+@pytest.mark.parametrize("damping", [1.0, 0.7])
+def test_factor_list_bit_identical_to_per_coefficient_loops(damping):
+    grid = np.random.default_rng(17).uniform(-20.0, 20.0, 64).tolist()
+    for n in range(1, 41):
+        for phi in grid + [math.pi * k / n for k in range(-n, 2 * n + 1)]:
+            assert coincidence_probability(n, phi, damping) == probability_per_coefficient(
+                n, phi, damping
+            )
+            assert probability_derivative(n, phi, damping) == derivative_per_coefficient(
+                n, phi, damping
+            )

@@ -89,6 +89,7 @@ def test_sensitivity_scan_rows(tmp_path):
     assert snl10 == pytest.approx(0.1474, abs=1e-4)
     assert hl10 == pytest.approx(1 / 46)
     for fields in rows.values():
+        assert fields[1:4] == ["0.0", "1.0", "0.0"]
         _, _, _, _, dphi, snl, hl = map(float, fields[:7])
         assert hl - 1e-12 <= dphi <= snl + 1e-12
 

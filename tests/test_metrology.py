@@ -302,16 +302,6 @@ def test_custom_mask_gradient_weights_match_gradient():
     )
 
 
-def test_sensitivity_point_csv_round_trip():
-    from qufti import SensitivityPoint
-
-    point = SensitivityPoint(n=3, phi=0.01, p=0.99, dp=0.1, delta_phi=0.25, snl=0.5, hl=0.25)
-    row = point.to_csv_row()
-    fields = row.split(",")
-    assert fields[0] == "3"
-    assert float(fields[4]) == 0.25
-
-
 def test_outcome_distribution_serialization():
     dist = fock_output_distribution(InterferometerSpec(n=2, phi=0.3))
     d = dist.to_json_dict()

@@ -102,6 +102,11 @@ def test_conjugation_consistency(n, seed):
     assert abs(permanent_ryser(np.conj(m)) - np.conj(permanent_ryser(m))) < 1e-12
 
 
+def test_empty_permanent_is_one():
+    empty = np.zeros((0, 0), dtype=np.complex128)
+    assert permanent_naive(empty) == permanent_ryser(empty) == permanent_with_repeats(empty, []) == 1
+
+
 def test_ryser_bit_reproducible():
     rng = np.random.default_rng(5)
     m = random_unit_disk_matrix(rng, 7)

@@ -21,12 +21,32 @@ from .matrices import InterferometerSpec, compose_qufti
 from .permanent import RYSER_DIM_LIMIT, permanent_ryser
 
 
-def _factors(n: int, c: float) -> list[float]:
+def _libm(f, x):
+    """f (math.cos, math.sin or math.exp) applied per element of a float or ndarray.
+
+    numpy's SIMD transcendentals need not match the C library's last bit on
+    every CPU; calling the math module per element keeps the bits of a
+    scalar evaluation, so a sweep and a point-by-point loop agree exactly.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:  # a float call stays in fast float arithmetic
+        return f(float(x))
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _result(x):
+    """A zero-dimensional result as a Python float (so repr prints a plain
+    number), an array unchanged."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _factors(n: int, c: float | np.ndarray) -> list:
     """The n - 1 factors [a(j) c + b(j)] / n^2 of the probability product.
 
     a(j) = 2j(n-j) and b(j) = n^2 - 2jn + 2j^2 for j = 1..n-1; note
-    a + b = n^2 and b - a = (n-2j)^2. c is cos(n phi) times the damping.
-    b(j) stays parenthesised: summed apart, it keeps the rounding bit for bit.
+    a + b = n^2 and b - a = (n-2j)^2. c is cos(n phi) times the damping,
+    a float or an ndarray. b(j) stays parenthesised: summed apart, it
+    keeps the rounding bit for bit.
     """
     return [
         (2 * j * (n - j) * c + (n * n - 2 * j * n + 2 * j * j)) / (n * n)
@@ -50,29 +70,42 @@ def permanent_closed_form(n: int, phi: float) -> complex:
     return complex(result)
 
 
-def coincidence_probability(n: int, phi: float, damping: float = 1.0) -> float:
+def coincidence_probability(
+    n: int, phi: float | np.ndarray, damping: float | np.ndarray = 1.0
+) -> float | np.ndarray:
     """Probability of one photon in every output mode, |Per(U)|^2.
 
     Real product form: prod_j [a(j) cos(n phi) + b(j)] / n^2. Equals 1 at
     phi = 0 and is periodic in phi with period 2 pi / n. damping = 1 is the
     ideal device; dephasing scales the cosine term by
     damping = exp(-n^2 <dchi^2> / 2), absorbed into the a(j) coefficients.
+    phi and damping may be floats or ndarrays that broadcast together; an
+    array gives an array, element for element the bits of the float call.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return math.prod(_factors(n, math.cos(n * phi) * damping), start=1.0)
+    c = _libm(math.cos, n * np.asarray(phi, dtype=float)) * damping
+    # left to right, one factor at a time: the order of the scalar product
+    acc = np.ones(np.shape(c))
+    for f in _factors(n, c):
+        acc = acc * f
+    return _result(acc)
 
 
-def probability_derivative(n: int, phi: float, damping: float = 1.0) -> float:
+def probability_derivative(
+    n: int, phi: float | np.ndarray, damping: float | np.ndarray = 1.0
+) -> float | np.ndarray:
     """|dP/dphi| of the coincidence probability, analytic form.
 
     Evaluated as a sum of leave-one-out products rather than P times a sum
     of ratios, so factors that hit zero do not produce 0/0. `damping`
-    scales the cosine term as in coincidence_probability.
+    scales the cosine term as in coincidence_probability; phi and damping
+    broadcast as there.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    factors = _factors(n, math.cos(n * phi) * damping)
+    x = n * np.asarray(phi, dtype=float)
+    factors = _factors(n, _libm(math.cos, x) * damping)
     # prefix[i] * suffix[i] = product of all factors except factors[i]
     m = len(factors)
     prefix = [1.0] * (m + 1)
@@ -81,11 +114,10 @@ def probability_derivative(n: int, phi: float, damping: float = 1.0) -> float:
     suffix = [1.0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] * factors[i]
-    leave_one_out = sum(
-        (2 * j * (n - j) / (n * n)) * prefix[j - 1] * suffix[j]
-        for j in range(1, n)
-    )
-    return n * abs(math.sin(n * phi)) * damping * leave_one_out
+    leave_one_out = 0.0
+    for j in range(1, n):
+        leave_one_out = leave_one_out + (2 * j * (n - j) / (n * n)) * prefix[j - 1] * suffix[j]
+    return _result(n * np.abs(_libm(math.sin, x)) * damping * leave_one_out)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,13 @@ shortest round-trip repr, rows in canonical order).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import math
+import os
 import sys
+import time
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -19,10 +24,47 @@ from .matrices import InterferometerSpec
 
 VERIFY_THRESHOLD = 1e-9
 
+# Sweep points evaluated and written per step: large enough that the numpy
+# calls amortise, small enough that no whole table is ever held in memory.
+_BLOCK = 1024
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+
+def _write_lines(path: str, lines: Iterable[str]) -> int:
+    """Write each line and a newline to a sibling temporary file, then move it to path.
+
+    Lines may come from a generator that computes them as they are written.
+    If it raises, the temporary file is removed: a failed run leaves no file
+    at path, or the old file untouched. Returns the number of lines written.
+    """
+    # A device or pipe (/dev/null, say) is written in place: replacing it
+    # would leave a regular file where the node was.
+    special = os.path.exists(path) and not os.path.isfile(path)
+    tmp = path if special else f"{path}.{os.getpid()}.tmp"
+    count = 0
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+                count += 1
+        if not special:
+            os.replace(tmp, path)
+    except BaseException:
+        if not special:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+    return count
+
+
+def _blocks(values: np.ndarray) -> Iterator[np.ndarray]:
+    for start in range(0, len(values), _BLOCK):
+        yield values[start:start + _BLOCK]
+
+
+def _report(command: str, lines: int, t0: float) -> None:
+    """One stderr summary line: data rows written (header excluded) and wall time."""
+    elapsed = time.perf_counter() - t0
+    print(f"{command}: rows={lines - 1} elapsed_s={elapsed:.3f}", file=sys.stderr)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -40,43 +82,58 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_phase_scan(args: argparse.Namespace) -> int:
-    lines = ["phi,P"]
-    for phi in np.linspace(args.phi_min, args.phi_max, args.steps):
-        p = analytics.coincidence_probability(args.n, float(phi))
-        lines.append(f"{float(phi)!r},{p!r}")
-    _write_lines(args.out, lines)
+    t0 = time.perf_counter()
+
+    def rows() -> Iterator[str]:
+        yield "phi,P"
+        for phis in _blocks(np.linspace(args.phi_min, args.phi_max, args.steps)):
+            ps = analytics.coincidence_probability(args.n, phis)
+            for phi, p in zip(phis.tolist(), ps.tolist()):
+                yield f"{phi!r},{p!r}"
+
+    _report(args.command, _write_lines(args.out, rows()), t0)
     return 0
 
 
 def cmd_sensitivity_scan(args: argparse.Namespace) -> int:
-    lines = ["n,phi,P,dP,delta_phi,snl,hl"]
-    for n in range(args.n_min, args.n_max + 1):
-        delta = metrology.phase_sensitivity_small_angle(n)
-        snl = metrology.shotnoise_limit(n)
-        hl = metrology.heisenberg_limit(n)
-        lines.append(f"{n},0.0,1.0,0.0,{delta!r},{snl!r},{hl!r}")
-    _write_lines(args.out, lines)
+    t0 = time.perf_counter()
+
+    def rows() -> Iterator[str]:
+        yield "n,phi,P,dP,delta_phi,snl,hl"
+        for n in range(args.n_min, args.n_max + 1):
+            delta = metrology.phase_sensitivity_small_angle(n)
+            snl = metrology.shotnoise_limit(n)
+            hl = metrology.heisenberg_limit(n)
+            yield f"{n},0.0,1.0,0.0,{delta!r},{snl!r},{hl!r}"
+
+    _report(args.command, _write_lines(args.out, rows()), t0)
     return 0
 
 
 def cmd_dephasing(args: argparse.Namespace) -> int:
-    lines = ["n,chi,delta_phi_qufti,delta_phi_noon"]
-    for n in args.n_list:
-        big_n = metrology.orc_photon_count(n)
-        for chi in np.linspace(0.0, args.chi_max, args.steps):
-            params = metrology.DephasingParams(chi_sq=float(chi) ** 2)
-            dphi = metrology.dephased_sensitivity(n, args.phi, params)
-            dphi_noon = metrology.noon_dephased_sensitivity(big_n, args.phi, params)
-            lines.append(f"{n},{float(chi)!r},{dphi!r},{dphi_noon!r}")
-    _write_lines(args.out, lines)
+    t0 = time.perf_counter()
+
+    def rows() -> Iterator[str]:
+        yield "n,chi,delta_phi_qufti,delta_phi_noon"
+        chi_grid = np.linspace(0.0, args.chi_max, args.steps)
+        for n in args.n_list:
+            big_n = metrology.orc_photon_count(n)
+            for chis in _blocks(chi_grid):
+                chis = chis.tolist()
+                # Python's float ** 2, as a single point's DephasingParams gets it
+                params = metrology.DephasingParams(chi_sq=np.array([chi ** 2 for chi in chis]))
+                dphi = metrology.dephased_sensitivity(n, args.phi, params)
+                dphi_noon = metrology.noon_dephased_sensitivity(big_n, args.phi, params)
+                for chi, d, d_noon in zip(chis, dphi.tolist(), dphi_noon.tolist()):
+                    yield f"{n},{chi!r},{d!r},{d_noon!r}"
+
+    _report(args.command, _write_lines(args.out, rows()), t0)
     return 0
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
     spec = InterferometerSpec(n=args.n, phi=args.phi)
     dist = metrology.fock_output_distribution(spec)
-    import json
-
     _write_lines(args.out, [json.dumps(dist.to_json_dict(), indent=2)])
     residual = abs(dist.total() - 1.0)
     print(f"normalization residual: {residual:.3e}", file=sys.stderr)

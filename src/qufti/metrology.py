@@ -10,7 +10,9 @@ N = 1 + n(n-1)/2; the shot-noise and Heisenberg limits are 1/sqrt(N)
 and 1/N of that count.
 
 Divergent sensitivities (zero derivative while 0 < P < 1) are returned
-as math.inf rather than raised, so sweep outputs stay rectangular.
+as math.inf rather than raised, so sweep outputs stay rectangular. The
+sweep functions take phi and the noise variance as floats or as ndarrays
+that broadcast together, and give each element the bits of its float call.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
+from .analytics import _libm, _result
 from .exceptions import SizeLimitError
 from .matrices import CustomMask, InterferometerSpec, compose_qufti
 from .permanent import permanent_ryser, permanent_with_repeats
@@ -43,15 +46,15 @@ DISTRIBUTION_MODE_LIMIT = 7
 class DephasingParams:
     """Per-mode Gaussian phase noise, parameterized by its variance <dchi^2>."""
 
-    chi_sq: float
+    chi_sq: float | np.ndarray  # an array holds one variance per sweep point
 
     def __post_init__(self) -> None:
-        if self.chi_sq < 0:
+        if np.any(np.less(self.chi_sq, 0)):
             raise ValueError(f"phase-noise variance must be >= 0, got {self.chi_sq}")
 
-    def damping(self, n: int) -> float:
+    def damping(self, n: int) -> float | np.ndarray:
         """Signal damping factor exp(-n^2 <dchi^2> / 2)."""
-        return math.exp(-0.5 * n * n * self.chi_sq)
+        return _result(_libm(math.exp, -0.5 * n * n * np.asarray(self.chi_sq, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,13 @@ def phase_sensitivity_small_angle(n: int) -> float:
     return math.sqrt(3.0 / (2.0 * n * (n + 1) * (n - 1)))
 
 
-def _propagate(p: float, dp: float) -> float:
-    variance = max(p - p * p, 0.0)
-    if dp == 0.0:
-        return 0.0 if variance == 0.0 else math.inf
-    return math.sqrt(variance) / dp
+def _propagate(p: float | np.ndarray, dp: float | np.ndarray) -> float | np.ndarray:
+    """sqrt(P - P^2) / |dP|: 0.0 where both vanish, inf where only dP does."""
+    # Python's max(v, 0.0); np.maximum would turn a -0.0 into 0.0
+    variance = np.where(0.0 > p - p * p, 0.0, p - p * p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sqrt(variance) / dp
+    return _result(np.where(dp == 0.0, np.where(variance == 0.0, 0.0, math.inf), ratio))
 
 
 def orc_photon_count(n: int) -> int:
@@ -119,17 +124,23 @@ def protocol_efficiency(eta_source: float, eta_detector: float, n: int) -> float
     return (eta_source * eta_detector) ** n
 
 
-def dephased_probability(n: int, phi: float, params: DephasingParams) -> float:
+def dephased_probability(
+    n: int, phi: float | np.ndarray, params: DephasingParams
+) -> float | np.ndarray:
     """Coincidence probability with the cosine signal damped by dephasing."""
     return analytics.coincidence_probability(n, phi, params.damping(n))
 
 
-def dephased_derivative(n: int, phi: float, params: DephasingParams) -> float:
+def dephased_derivative(
+    n: int, phi: float | np.ndarray, params: DephasingParams
+) -> float | np.ndarray:
     """|dP/dphi| of the dephased probability; same product structure."""
     return analytics.probability_derivative(n, phi, params.damping(n))
 
 
-def dephased_sensitivity(n: int, phi: float, params: DephasingParams) -> float:
+def dephased_sensitivity(
+    n: int, phi: float | np.ndarray, params: DephasingParams
+) -> float | np.ndarray:
     """Error-propagation sensitivity; DephasingParams(0.0) is the ideal device.
 
     Stationary points (sin(n phi) = 0) are decided by noise, the sign of
@@ -142,22 +153,24 @@ def dephased_sensitivity(n: int, phi: float, params: DephasingParams) -> float:
     """
     if n < 2:
         raise ValueError(f"need n >= 2 for interference, got {n}")
-    noiseless = params.chi_sq == 0.0
-    if noiseless and abs(phi) < PHI_EPS:
-        return phase_sensitivity_small_angle(n)
-    if abs(math.sin(n * phi)) < STATIONARY_SIN_TOL:
-        if not noiseless:
-            return math.inf
-        if math.cos(n * phi) > 0:
-            return phase_sensitivity_small_angle(n)
-        if n % 2 == 0:
-            return 1.0 / (n * math.prod(abs(n - 2 * j) / n for j in range(1, n) if 2 * j != n))
-        return math.inf
+    phi = np.asarray(phi, dtype=float)
+    noiseless = np.asarray(params.chi_sq) == 0.0
+    x = n * phi
+    stationary = np.abs(_libm(math.sin, x)) < STATIONARY_SIN_TOL
+    maximum = noiseless & ((np.abs(phi) < PHI_EPS) | (stationary & (_libm(math.cos, x) > 0)))
+    if n % 2 == 0:
+        limit = 1.0 / (n * math.prod(abs(n - 2 * j) / n for j in range(1, n) if 2 * j != n))
+    else:
+        limit = math.inf
     p = dephased_probability(n, phi, params)
-    return _propagate(p, dephased_derivative(n, phi, params))
+    delta = _propagate(p, dephased_derivative(n, phi, params))
+    delta = np.where(stationary, np.where(noiseless, limit, math.inf), delta)
+    return _result(np.where(maximum, phase_sensitivity_small_angle(n), delta))
 
 
-def noon_dephased_sensitivity(n_photons: int, phi: float, params: DephasingParams) -> float:
+def noon_dephased_sensitivity(
+    n_photons: int, phi: float | np.ndarray, params: DephasingParams
+) -> float | np.ndarray:
     """Sensitivity of an N-photon NOON interferometer under the same noise model.
 
     The two-mode NOON signal is cos(N phi); its expectation observable is
@@ -167,14 +180,16 @@ def noon_dephased_sensitivity(n_photons: int, phi: float, params: DephasingParam
     """
     if n_photons < 2:
         raise ValueError(f"need N >= 2, got {n_photons}")
-    noiseless = params.chi_sq == 0.0
-    stationary = abs(math.sin(n_photons * phi)) < STATIONARY_SIN_TOL
-    if stationary or (noiseless and abs(phi) < PHI_EPS):
-        return 1.0 / n_photons if noiseless else math.inf
+    phi = np.asarray(phi, dtype=float)
+    noiseless = np.asarray(params.chi_sq) == 0.0
+    x = n_photons * phi
+    sin = _libm(math.sin, x)
     d = params.damping(n_photons)
-    p = 0.5 * (1.0 + math.cos(n_photons * phi) * d)
-    dp = 0.5 * n_photons * abs(math.sin(n_photons * phi)) * d
-    return _propagate(p, dp)
+    p = 0.5 * (1.0 + _libm(math.cos, x) * d)
+    dp = 0.5 * n_photons * np.abs(sin) * d
+    delta = _propagate(p, dp)
+    special = (np.abs(sin) < STATIONARY_SIN_TOL) | (noiseless & (np.abs(phi) < PHI_EPS))
+    return _result(np.where(special, np.where(noiseless, 1.0 / n_photons, math.inf), delta))
 
 
 def fock_output_distribution(spec: InterferometerSpec) -> OutcomeDistribution:

@@ -171,3 +171,58 @@ def test_factor_list_bit_identical_to_per_coefficient_loops(damping):
             assert probability_derivative(n, phi, damping) == derivative_per_coefficient(
                 n, phi, damping
             )
+
+
+def probability_scalar_reference(n, phi, damping):
+    """Reference: the float-only product of the previous release, one point at a time."""
+    c = math.cos(n * phi) * damping
+    return math.prod(
+        ((2 * j * (n - j) * c + (n * n - 2 * j * n + 2 * j * j)) / (n * n) for j in range(1, n)),
+        start=1.0,
+    )
+
+
+def derivative_scalar_reference(n, phi, damping):
+    """Reference: the float-only leave-one-out sum of the previous release."""
+    c = math.cos(n * phi) * damping
+    factors = [
+        (2 * j * (n - j) * c + (n * n - 2 * j * n + 2 * j * j)) / (n * n) for j in range(1, n)
+    ]
+    m = len(factors)
+    prefix = [1.0] * (m + 1)
+    for i in range(m):
+        prefix[i + 1] = prefix[i] * factors[i]
+    suffix = [1.0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * factors[i]
+    # the release summed with sum(), which adds left to right before Python 3.12
+    leave_one_out = 0.0
+    for j in range(1, n):
+        leave_one_out += (2 * j * (n - j) / (n * n)) * prefix[j - 1] * suffix[j]
+    return n * abs(math.sin(n * phi)) * damping * leave_one_out
+
+
+def test_array_path_bit_identical_to_scalar_loop():
+    rng = np.random.default_rng(29)
+    grid = rng.uniform(-20.0, 20.0, 64).tolist()
+    for n in range(1, 41):
+        phis = grid + [math.pi * k / n for k in range(-n, 2 * n + 1)]
+        arr = np.array(phis)
+        dampings = [1.0, 0.3, rng.uniform(0.0, 1.0, len(phis))]
+        for damping in dampings:
+            ds = np.broadcast_to(damping, arr.shape).tolist()
+            p = coincidence_probability(n, arr, damping)
+            dp = probability_derivative(n, arr, damping)
+            assert p.shape == dp.shape == arr.shape
+            assert p.tolist() == [probability_scalar_reference(n, x, d) for x, d in zip(phis, ds)]
+            assert dp.tolist() == [derivative_scalar_reference(n, x, d) for x, d in zip(phis, ds)]
+        # phi down a column, damping along a row: the product broadcasts to a table
+        row = np.array([1.0, 0.5, 0.0])
+        table = coincidence_probability(n, arr[:, None], row)
+        assert table.shape == (len(phis), 3)
+        assert table.tolist() == [
+            [probability_scalar_reference(n, x, d) for d in row.tolist()] for x in phis
+        ]
+    # a float call returns a float, so the CLI's repr prints a plain number
+    assert type(coincidence_probability(3, 0.2)) is float
+    assert type(probability_derivative(3, 0.2, 0.5)) is float

@@ -3,13 +3,26 @@
 import json
 import math
 import os
+import re
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qufti.cli import main
+from qufti import (
+    DephasingParams,
+    coincidence_probability,
+    dephased_sensitivity,
+    noon_dephased_sensitivity,
+    orc_photon_count,
+)
+from qufti.cli import _BLOCK, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -114,8 +127,6 @@ def test_dephasing_shape_and_monotonicity(tmp_path):
     for line in lines[1:]:
         n, chi, dq, dn = line.split(",")
         per_n.setdefault(int(n), []).append((float(chi), float(dq)))
-    from qufti import DephasingParams, dephased_sensitivity
-
     for n, rows in per_n.items():
         ideal = dephased_sensitivity(n, 0.01, DephasingParams(0.0))
         assert rows[0][1] == pytest.approx(ideal, abs=1e-9)
@@ -167,10 +178,9 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_reproduce_figures_script(tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "reproduce_figures.py"),
+        [sys.executable, str(ROOT / "scripts" / "reproduce_figures.py"),
          "--n-max", "6", "--outdir", str(tmp_path)],
         env=env, capture_output=True, text=True,
     )
@@ -192,6 +202,8 @@ LIBRARY_DOMAIN_ERRORS = [
     (["phase-scan", "--n", "0"], "dimension must be >= 1, got 0"),
     (["sensitivity-scan", "--n-min", "1", "--n-max", "3"], "need n >= 2 for interference, got 1"),
     (["dephasing", "--n-list", "1", "3"], "need n >= 2 for interference, got 1"),
+    # the bad n comes after a good block: the rows written so far must not reach --out
+    (["dephasing", "--n-list", "3", "1"], "need n >= 2 for interference, got 1"),
 ]
 
 
@@ -205,3 +217,82 @@ def test_library_domain_error_exits_2(tmp_path, capsys, argv, message):
     assert exc.value.code == 2
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+def test_failed_run_leaves_existing_out_untouched(tmp_path):
+    out = tmp_path / "deph.csv"
+    out.write_bytes(b"n,chi\nearlier,run\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["dephasing", "--n-list", "3", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert out.read_bytes() == b"n,chi\nearlier,run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["deph.csv"]  # no temporary file left
+
+
+def test_pipe_out_is_written_in_place(tmp_path):
+    # a device or pipe is not replaced by a regular file
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert run(["sensitivity-scan", "--n-max", "3", "--out", str(pipe)]) == 0
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    assert received[0].decode().splitlines()[0] == "n,phi,P,dP,delta_phi,snl,hl"
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_sweeps_match_scalar_rows_across_blocks(tmp_path):
+    steps = 2 * _BLOCK + 3  # two full blocks and a partial one
+    out = tmp_path / "scan.csv"
+    assert run(["phase-scan", "--n", "7", "--steps", str(steps), "--out", str(out)]) == 0
+    rows = ["phi,P"]
+    for phi in np.linspace(0.0, 2 * math.pi, steps).tolist():
+        rows.append(f"{phi!r},{coincidence_probability(7, phi)!r}")
+    assert out.read_text() == "\n".join(rows) + "\n"
+
+    phi = 1.5707963267948966  # stationary for n = 2, 4, 6 and the NOON N = 2, 4, 16
+    out = tmp_path / "deph.csv"
+    assert run([
+        "dephasing", "--n-list", "2", "3", "4", "6", "--phi", repr(phi),
+        "--steps", str(steps), "--out", str(out),
+    ]) == 0
+    rows = ["n,chi,delta_phi_qufti,delta_phi_noon"]
+    for n in (2, 3, 4, 6):
+        for chi in np.linspace(0.0, 0.01, steps).tolist():
+            params = DephasingParams(chi**2)
+            dphi = dephased_sensitivity(n, phi, params)
+            dphi_noon = noon_dephased_sensitivity(orc_photon_count(n), phi, params)
+            rows.append(f"{n},{chi!r},{dphi!r},{dphi_noon!r}")
+    assert out.read_text() == "\n".join(rows) + "\n"
+
+
+SWEEP_COMMANDS = {
+    "phase-scan": ["phase-scan", "--n", "5", "--steps", "1500"],
+    "dephasing": ["dephasing", "--n-list", "3", "8", "--steps", "700"],
+    "sensitivity-scan": ["sensitivity-scan", "--n-min", "2", "--n-max", "30"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_COMMANDS))
+def test_sweep_summary_on_stderr(tmp_path, capsys, command):
+    argv = SWEEP_COMMANDS[command]
+    captured = tmp_path / "captured.csv"
+    assert run(argv + ["--out", str(captured)]) == 0
+    err = capsys.readouterr().err
+    match = re.fullmatch(rf"{command}: rows=(\d+) elapsed_s=(\d+\.\d+)\n", err)
+    assert match, err
+    assert int(match[1]) == len(captured.read_text().splitlines()) - 1
+    assert float(match[2]) >= 0.0
+    # the summary goes to stderr only: the data file has the same bytes without it
+    plain = tmp_path / "plain.csv"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run(
+        [sys.executable, "-m", "qufti.cli", *argv, "--out", str(plain)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True,
+    )
+    assert plain.read_bytes() == captured.read_bytes()

@@ -321,3 +321,64 @@ def test_fock_probability_against_raw_permanent():
     assert abs(permanent_ryser(u)) ** 2 == pytest.approx(
         dist.probability_of((1, 1)), abs=1e-12
     )
+
+
+def propagate_reference(p, dp):
+    variance = max(p - p * p, 0.0)
+    if dp == 0.0:
+        return 0.0 if variance == 0.0 else math.inf
+    return math.sqrt(variance) / dp
+
+
+def sensitivity_rule_reference(n, phi, chi_sq):
+    """Reference: the previous release's stationary-point rule, one float point at a time."""
+    noiseless = chi_sq == 0.0
+    if noiseless and abs(phi) < 1e-8:
+        return phase_sensitivity_small_angle(n)
+    if abs(math.sin(n * phi)) < 1e-12:
+        if not noiseless:
+            return math.inf
+        if math.cos(n * phi) > 0:
+            return phase_sensitivity_small_angle(n)
+        if n % 2 == 0:
+            return 1.0 / (n * math.prod(abs(n - 2 * j) / n for j in range(1, n) if 2 * j != n))
+        return math.inf
+    damping = math.exp(-0.5 * n * n * chi_sq)
+    return propagate_reference(
+        coincidence_probability(n, phi, damping), probability_derivative(n, phi, damping)
+    )
+
+
+def noon_rule_reference(big_n, phi, chi_sq):
+    """Reference: the previous release's NOON rule, one float point at a time."""
+    noiseless = chi_sq == 0.0
+    if abs(math.sin(big_n * phi)) < 1e-12 or (noiseless and abs(phi) < 1e-8):
+        return 1.0 / big_n if noiseless else math.inf
+    d = math.exp(-0.5 * big_n * big_n * chi_sq)
+    p = 0.5 * (1.0 + math.cos(big_n * phi) * d)
+    return propagate_reference(p, 0.5 * big_n * abs(math.sin(big_n * phi)) * d)
+
+
+def test_sensitivity_masks_match_scalar_rule():
+    chi_sqs = [0.0, 0.005**2, 0.0, 0.3]  # noiseless and noisy points in one array
+    for n in (2, 3, 4, 5, 6, 7, 8, 15):
+        phis = [1e-9, -1e-9, 0.3, 1e-4, math.pi / n, 3 * math.pi / n]
+        phis += [2 * math.pi * k / n for k in (-1, 1, 2)]
+        table = dephased_sensitivity(n, np.array(phis)[:, None], DephasingParams(np.array(chi_sqs)))
+        expected = [[sensitivity_rule_reference(n, phi, c) for c in chi_sqs] for phi in phis]
+        assert table.tolist() == expected
+        branches = {v for row in expected for v in row}
+        assert {phase_sensitivity_small_angle(n), math.inf} <= branches
+        # pi/n without noise: the finite P = 0 limit for even n, a divergence for odd n
+        assert math.isfinite(expected[4][0]) == (n % 2 == 0)
+        big_n = orc_photon_count(n)
+        noon_phis = phis + [math.pi / big_n, 2 * math.pi / big_n]
+        noon = noon_dephased_sensitivity(
+            big_n, np.array(noon_phis)[:, None], DephasingParams(np.array(chi_sqs))
+        )
+        assert noon.tolist() == [
+            [noon_rule_reference(big_n, phi, c) for c in chi_sqs] for phi in noon_phis
+        ]
+    # a float call still returns a float
+    assert type(dephased_sensitivity(4, 0.3, DephasingParams(0.0))) is float
+    assert type(noon_dephased_sensitivity(4, 0.3, DephasingParams(1e-4))) is float

@@ -10,7 +10,6 @@ the coincidence probability and an analytic derivative.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -136,9 +135,6 @@ class ConjectureReport:
             "max_abs_error": self.max_abs_error,
             "worst_case": {"n": self.worst_case[0], "phi": self.worst_case[1]},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def conjecture_verify(n_max: int, phi_samples: int) -> ConjectureReport:

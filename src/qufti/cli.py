@@ -61,28 +61,34 @@ def _blocks(values: np.ndarray) -> Iterator[np.ndarray]:
         yield values[start:start + _BLOCK]
 
 
-def _report(command: str, lines: int, t0: float) -> None:
-    """One stderr summary line: data rows written (header excluded) and wall time."""
-    elapsed = time.perf_counter() - t0
-    print(f"{command}: rows={lines - 1} elapsed_s={elapsed:.3f}", file=sys.stderr)
+def _check_finite(args: argparse.Namespace, *names: str) -> None:
+    """A usage error naming the flag unless each named float flag is finite."""
+    for name in names:
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     report = analytics.conjecture_verify(args.n_max, args.samples)
-    _write_lines(args.out, [report.to_json()])
+    _write_lines(args.out, [json.dumps(report.to_json_dict(), indent=2)])
+    summary = f"max_abs_error={report.max_abs_error:.3e}"
     if report.max_abs_error < VERIFY_THRESHOLD:
         print(f"conjecture holds: max |error| = {report.max_abs_error:.3e}")
-        return 0
+        return 0, summary
     print(
         f"conjecture check FAILED: max |error| = {report.max_abs_error:.3e} "
         f"at n={report.worst_case[0]}, phi={report.worst_case[1]!r}",
         file=sys.stderr,
     )
-    return 1
+    return 1, summary
 
 
-def cmd_phase_scan(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_phase_scan(args: argparse.Namespace) -> tuple[int, str]:
+    _check_finite(args, "phi_min", "phi_max")
+    if args.steps < 2:
+        raise ValueError("--steps must be >= 2")
+    if not args.phi_max > args.phi_min:
+        raise ValueError("--phi-max must exceed --phi-min")
 
     def rows() -> Iterator[str]:
         yield "phi,P"
@@ -91,12 +97,12 @@ def cmd_phase_scan(args: argparse.Namespace) -> int:
             for phi, p in zip(phis.tolist(), ps.tolist()):
                 yield f"{phi!r},{p!r}"
 
-    _report(args.command, _write_lines(args.out, rows()), t0)
-    return 0
+    return 0, f"rows={_write_lines(args.out, rows()) - 1}"
 
 
-def cmd_sensitivity_scan(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_sensitivity_scan(args: argparse.Namespace) -> tuple[int, str]:
+    if args.n_min > args.n_max:
+        raise ValueError("need --n-min <= --n-max")
 
     def rows() -> Iterator[str]:
         yield "n,phi,P,dP,delta_phi,snl,hl"
@@ -106,12 +112,15 @@ def cmd_sensitivity_scan(args: argparse.Namespace) -> int:
             hl = metrology.heisenberg_limit(n)
             yield f"{n},0.0,1.0,0.0,{delta!r},{snl!r},{hl!r}"
 
-    _report(args.command, _write_lines(args.out, rows()), t0)
-    return 0
+    return 0, f"rows={_write_lines(args.out, rows()) - 1}"
 
 
-def cmd_dephasing(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+def cmd_dephasing(args: argparse.Namespace) -> tuple[int, str]:
+    _check_finite(args, "phi", "chi_max")
+    if args.phi == 0.0:
+        raise ValueError("--phi must be nonzero (sensitivity diverges at phi = 0)")
+    if args.steps < 2 or args.chi_max < 0:
+        raise ValueError("need --steps >= 2 and --chi-max >= 0")
 
     def rows() -> Iterator[str]:
         yield "n,chi,delta_phi_qufti,delta_phi_noon"
@@ -127,17 +136,14 @@ def cmd_dephasing(args: argparse.Namespace) -> int:
                 for chi, d, d_noon in zip(chis, dphi.tolist(), dphi_noon.tolist()):
                     yield f"{n},{chi!r},{d!r},{d_noon!r}"
 
-    _report(args.command, _write_lines(args.out, rows()), t0)
-    return 0
+    return 0, f"rows={_write_lines(args.out, rows()) - 1}"
 
 
-def cmd_distribution(args: argparse.Namespace) -> int:
+def cmd_distribution(args: argparse.Namespace) -> tuple[int, str]:
     spec = InterferometerSpec(n=args.n, phi=args.phi)
     dist = metrology.fock_output_distribution(spec)
     _write_lines(args.out, [json.dumps(dist.to_json_dict(), indent=2)])
-    residual = abs(dist.total() - 1.0)
-    print(f"normalization residual: {residual:.3e}", file=sys.stderr)
-    return 0
+    return 0, f"outcomes={len(dist.entries)} residual={abs(dist.total() - 1.0):.3e}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,31 +191,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Checks with no library counterpart; the library guards every domain limit."""
-    if args.command == "phase-scan":
-        if args.steps < 2:
-            parser.error("--steps must be >= 2")
-        if not args.phi_max > args.phi_min:
-            parser.error("--phi-max must exceed --phi-min")
-    elif args.command == "sensitivity-scan":
-        if args.n_min > args.n_max:
-            parser.error("need --n-min <= --n-max")
-    elif args.command == "dephasing":
-        if args.phi == 0.0:
-            parser.error("--phi must be nonzero (sensitivity diverges at phi = 0)")
-        if args.steps < 2 or args.chi_max < 0:
-            parser.error("need --steps >= 2 and --chi-max >= 0")
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: a usage, domain or write error exits 2; a finished
+    run prints `<command>: <summary> elapsed_s=T` on stderr and returns its code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(args, parser)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        code, summary = args.func(args)
     except ValueError as exc:  # SizeLimitError included
         parser.error(str(exc))
+    except OSError as exc:  # --out is the only file a subcommand opens
+        parser.error(f"cannot write {args.out}: {exc.strerror}")
+    print(f"{args.command}: {summary} elapsed_s={time.perf_counter() - start:.3f}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

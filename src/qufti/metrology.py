@@ -49,7 +49,7 @@ class DephasingParams:
     chi_sq: float | np.ndarray  # an array holds one variance per sweep point
 
     def __post_init__(self) -> None:
-        if np.any(np.less(self.chi_sq, 0)):
+        if not np.all(np.greater_equal(self.chi_sq, 0)):  # NaN fails too
             raise ValueError(f"phase-noise variance must be >= 0, got {self.chi_sq}")
 
     def damping(self, n: int) -> float | np.ndarray:

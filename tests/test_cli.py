@@ -1,5 +1,6 @@
 """CLI commands: exit codes, file shapes, determinism."""
 
+import errno
 import json
 import math
 import os
@@ -148,7 +149,10 @@ def test_distribution_json(tmp_path, capsys):
     assert len(data["entries"]) == 10
     total = sum(e["probability"] for e in data["entries"])
     assert total == pytest.approx(1.0, abs=1e-9)
-    assert "normalization residual" in capsys.readouterr().err
+    match = re.fullmatch(
+        r"distribution: outcomes=10 residual=(\S+) elapsed_s=\d+\.\d+\n", capsys.readouterr().err
+    )
+    assert match and float(match[1]) < 1e-9
 
 
 def test_distribution_zero_phase(tmp_path):
@@ -219,6 +223,48 @@ def test_library_domain_error_exits_2(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+# Flag checks made by the CLI itself, before any library call.
+FLAG_ERRORS = [
+    (["phase-scan", "--n", "4", "--steps", "1"], "--steps must be >= 2"),
+    (["phase-scan", "--n", "4", "--phi-min", "1", "--phi-max", "1"], "--phi-max must exceed --phi-min"),
+    (["sensitivity-scan", "--n-min", "5", "--n-max", "3"], "need --n-min <= --n-max"),
+    (["dephasing", "--n-list", "4", "--phi", "0"],
+     "--phi must be nonzero (sensitivity diverges at phi = 0)"),
+    (["dephasing", "--n-list", "4", "--steps", "1"], "need --steps >= 2 and --chi-max >= 0"),
+    (["dephasing", "--n-list", "4", "--chi-max", "-0.1"], "need --steps >= 2 and --chi-max >= 0"),
+    (["phase-scan", "--n", "4", "--phi-min", "nan"], "--phi-min must be finite"),
+    (["phase-scan", "--n", "4", "--phi-max", "inf"], "--phi-max must be finite"),
+    (["dephasing", "--n-list", "4", "--phi", "nan"], "--phi must be finite"),
+    (["dephasing", "--n-list", "4", "--phi", "inf"], "--phi must be finite"),
+    (["dephasing", "--n-list", "4", "--chi-max", "nan"], "--chi-max must be finite"),
+    (["dephasing", "--n-list", "4", "--chi-max", "inf"], "--chi-max must be finite"),
+]
+
+
+@pytest.mark.parametrize("argv,message", FLAG_ERRORS, ids=["_".join(a) for a, _ in FLAG_ERRORS])
+def test_flag_error_exits_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qufti ")
+    assert err.endswith(f"qufti: error: {message}\n")
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["phase-scan", "--n", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    # names --out itself, not the temporary file beside it
+    assert err.endswith(f"qufti: error: cannot write {out}: {os.strerror(errno.ENOENT)}\n")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_run_leaves_existing_out_untouched(tmp_path):
     out = tmp_path / "deph.csv"
     out.write_bytes(b"n,chi\nearlier,run\n")
@@ -271,25 +317,43 @@ def test_sweeps_match_scalar_rows_across_blocks(tmp_path):
     assert out.read_text() == "\n".join(rows) + "\n"
 
 
-SWEEP_COMMANDS = {
-    "phase-scan": ["phase-scan", "--n", "5", "--steps", "1500"],
-    "dephasing": ["dephasing", "--n-list", "3", "8", "--steps", "700"],
-    "sensitivity-scan": ["sensitivity-scan", "--n-min", "2", "--n-max", "30"],
+def _row_count(text):
+    return {"rows": str(len(text.splitlines()) - 1)}
+
+
+def _verify_fields(text):
+    return {"max_abs_error": f"{json.loads(text)['max_abs_error']:.3e}"}
+
+
+def _distribution_fields(text):
+    probabilities = [e["probability"] for e in json.loads(text)["entries"]]
+    return {"outcomes": str(len(probabilities)), "residual": f"{abs(sum(probabilities) - 1.0):.3e}"}
+
+
+# each command's argv, and the summary fields its data file implies
+SUMMARY_COMMANDS = {
+    "phase-scan": (["phase-scan", "--n", "5", "--steps", "1500"], _row_count),
+    "dephasing": (["dephasing", "--n-list", "3", "8", "--steps", "700"], _row_count),
+    "sensitivity-scan": (["sensitivity-scan", "--n-min", "2", "--n-max", "30"], _row_count),
+    "verify": (["verify", "--n-max", "5", "--samples", "8"], _verify_fields),
+    "distribution": (["distribution", "--n", "4", "--phi", "0.3"], _distribution_fields),
 }
 
 
-@pytest.mark.parametrize("command", sorted(SWEEP_COMMANDS))
+@pytest.mark.parametrize("command", sorted(SUMMARY_COMMANDS))
 def test_sweep_summary_on_stderr(tmp_path, capsys, command):
-    argv = SWEEP_COMMANDS[command]
-    captured = tmp_path / "captured.csv"
+    argv, expected_fields = SUMMARY_COMMANDS[command]
+    captured = tmp_path / "captured.out"
     assert run(argv + ["--out", str(captured)]) == 0
     err = capsys.readouterr().err
-    match = re.fullmatch(rf"{command}: rows=(\d+) elapsed_s=(\d+\.\d+)\n", err)
+    match = re.fullmatch(rf"{command}: (.+) elapsed_s=(\d+\.\d+)\n", err)
     assert match, err
-    assert int(match[1]) == len(captured.read_text().splitlines()) - 1
+    assert dict(field.split("=") for field in match[1].split(" ")) == expected_fields(
+        captured.read_text()
+    )
     assert float(match[2]) >= 0.0
     # the summary goes to stderr only: the data file has the same bytes without it
-    plain = tmp_path / "plain.csv"
+    plain = tmp_path / "plain.out"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     subprocess.run(
         [sys.executable, "-m", "qufti.cli", *argv, "--out", str(plain)],

@@ -155,6 +155,14 @@ def test_dephasing_rejects_negative_variance():
         DephasingParams(-1e-3)
 
 
+def test_dephasing_rejects_nan_variance():
+    for chi_sq in (math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            DephasingParams(chi_sq)
+    # complete dephasing is a valid limit
+    assert DephasingParams(math.inf).damping(4) == 0.0
+
+
 def test_dephasing_strong_noise_limit():
     # damping -> 0 leaves the phase-independent product of b coefficients
     n = 4

@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand: a usage, domain or write error exits 2; a finished
+    """Run one subcommand: a usage, domain, write or memory error exits 2; a finished
     run prints `<command>: <summary> elapsed_s=T` on stderr and returns its code."""
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -203,6 +203,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     except OSError as exc:  # --out is the only file a subcommand opens
         parser.error(f"cannot write {args.out}: {exc.strerror}")
+    except MemoryError as exc:  # a grid too large to allocate, --steps 10**17 say
+        parser.error(f"not enough memory: {exc}")
     print(f"{args.command}: {summary} elapsed_s={time.perf_counter() - start:.3f}", file=sys.stderr)
     return code
 

@@ -39,7 +39,7 @@ STATIONARY_SIN_TOL = 1e-12
 FD_STEP = 1e-6
 
 # Outcome enumeration guard: C(2n-1, n) outcomes, each needing a permanent.
-DISTRIBUTION_MODE_LIMIT = 7
+DISTRIBUTION_MODE_LIMIT = 9
 
 
 @dataclass(frozen=True)

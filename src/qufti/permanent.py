@@ -11,6 +11,7 @@ run-to-run on the same platform.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -52,6 +53,27 @@ def permanent_naive(m: NDArray[np.complex128]) -> complex:
     return total
 
 
+@functools.lru_cache(maxsize=32)
+def _gray_block(n: int, start: int) -> tuple[NDArray[np.intp], NDArray[np.float64]]:
+    """Steps start .. start + _BLOCK - 1 of the n-column Gray-code walk.
+
+    For each step: the row of [A^T; -A^T] it adds to the row sums (column j
+    entering is row j, leaving is row n + j) and the sign (-1)^|S| of its
+    subset. A block depends on (n, start) alone, so it is cached: every walk
+    up to n = 10 is one block, and repeated permanents of one size, one per
+    outcome or per phi, skip rebuilding it. The cache keeps at most 32
+    blocks of 16 KiB.
+    """
+    step = np.arange(start, min(start + _BLOCK, 1 << n))
+    # Step k flips the bit of k's lowest set bit; frexp(2^t) is exact.
+    flipped = np.frexp(step & -step)[1] - 1
+    leaving = ((step ^ (step >> 1)) >> flipped) & 1 == 0
+    rows, signs = flipped + n * leaving, np.where(step & 1, -1.0, 1.0)
+    rows.setflags(write=False)
+    signs.setflags(write=False)
+    return rows, signs
+
+
 def permanent_ryser(m: NDArray[np.complex128]) -> complex:
     """Permanent via Ryser's inclusion-exclusion formula.
 
@@ -67,22 +89,19 @@ def permanent_ryser(m: NDArray[np.complex128]) -> complex:
         raise SizeLimitError(
             f"Ryser permanent limited to dim <= {RYSER_DIM_LIMIT}, got {n}"
         )
-    a = np.ascontiguousarray(m, dtype=np.complex128)
-    signed_cols = np.concatenate([a.T, -a.T])  # column j enters at j, leaves at n + j
+    a = np.asarray(m, dtype=np.complex128).T
+    signed_cols = np.concatenate([a, -a])  # column j enters at j, leaves at n + j
     row_sums = np.zeros(n, dtype=np.complex128)
     total = 0j if n else 1 + 0j  # the empty subset's product of n zero row sums
     for start in range(1, 1 << n, _BLOCK):
-        step = np.arange(start, min(start + _BLOCK, 1 << n))
-        # Step k flips the bit of k's lowest set bit; frexp(2^t) is exact.
-        flipped = np.frexp(step & -step)[1] - 1
-        leaving = ((step ^ (step >> 1)) >> flipped) & 1 == 0
-        deltas = signed_cols[flipped + n * leaving]
+        rows, signs = _gray_block(n, start)
+        deltas = signed_cols.take(rows, axis=0)
         deltas[0] += row_sums
-        sums = np.cumsum(deltas, axis=0)
+        sums = deltas.cumsum(axis=0)
         row_sums = sums[-1]
-        terms = np.prod(sums, axis=1) * np.where(step & 1, -1.0, 1.0)  # (-1)^|S|
+        terms = np.prod(sums, axis=1) * signs  # (-1)^|S|
         terms[0] += total
-        total = complex(np.cumsum(terms)[-1])
+        total = complex(terms.cumsum()[-1])
     return -total if n % 2 else total
 
 
@@ -101,4 +120,4 @@ def permanent_with_repeats(
     if sum(mult) != n:
         raise ValueError(f"multiplicities sum to {sum(mult)}, expected {n}")
     cols = [k for k, s in enumerate(mult) for _ in range(s)]
-    return permanent_ryser(m[:, cols])
+    return permanent_ryser(m.take(cols, axis=1))

@@ -165,7 +165,7 @@ def test_distribution_zero_phase(tmp_path):
 
 def test_distribution_size_limit(tmp_path):
     with pytest.raises(SystemExit) as exc:
-        run(["distribution", "--n", "8", "--phi", "0.1", "--out", str(tmp_path / "d.json")])
+        run(["distribution", "--n", "10", "--phi", "0.1", "--out", str(tmp_path / "d.json")])
     assert exc.value.code == 2
 
 
@@ -201,7 +201,7 @@ LIBRARY_DOMAIN_ERRORS = [
     (["verify", "--n-max", "31"], "n_max must be in 2..30, got 31"),
     (["verify", "--n-max", "1"], "n_max must be in 2..30, got 1"),
     (["verify", "--n-max", "4", "--samples", "0"], "phi_samples must be >= 1, got 0"),
-    (["distribution", "--n", "8", "--phi", "0.1"], "limited to n <= 7, got 8"),
+    (["distribution", "--n", "10", "--phi", "0.1"], "limited to n <= 9, got 10"),
     (["distribution", "--n", "0", "--phi", "0.1"], "mode count must be >= 1, got 0"),
     (["phase-scan", "--n", "0"], "dimension must be >= 1, got 0"),
     (["sensitivity-scan", "--n-min", "1", "--n-max", "3"], "need n >= 2 for interference, got 1"),
@@ -261,6 +261,21 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     # names --out itself, not the temporary file beside it
     assert err.endswith(f"qufti: error: cannot write {out}: {os.strerror(errno.ENOENT)}\n")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["phase-scan", "--n", "3"], ["dephasing", "--n-list", "3"]], ids=lambda a: a[0]
+)
+def test_oversized_steps_exits_2(tmp_path, capsys, argv):
+    # a grid the allocator refuses outright: a usage error, not a failed check
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--steps", str(10**17), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert re.search(r"\nqufti: error: not enough memory: .+\n$", err), err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 

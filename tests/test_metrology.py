@@ -263,9 +263,18 @@ def test_distribution_all_ones_matches_closed_form():
     )
 
 
+def test_distribution_n8_normalization_and_all_ones():
+    dist = fock_output_distribution(InterferometerSpec(n=8, phi=0.9))
+    assert len(dist.entries) == math.comb(15, 8)
+    assert dist.total() == pytest.approx(1.0, abs=1e-9)
+    assert dist.probability_of((1,) * 8) == pytest.approx(
+        coincidence_probability(8, 0.9), abs=1e-11
+    )
+
+
 def test_distribution_size_guard():
     with pytest.raises(SizeLimitError):
-        fock_output_distribution(InterferometerSpec(n=8, phi=0.1))
+        fock_output_distribution(InterferometerSpec(n=10, phi=0.1))
 
 
 def test_mask_sensitivity_gradient_consistency():

@@ -15,6 +15,7 @@ from qufti import (
     permanent_ryser,
     permanent_with_repeats,
 )
+from qufti.permanent import _gray_block
 
 
 def random_unit_disk_matrix(rng, n):
@@ -146,6 +147,20 @@ def test_ryser_bit_identical_to_step_loop_verify_grid():
     for phi in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
         u = compose_qufti(InterferometerSpec(n=12, phi=float(phi)))
         assert permanent_ryser(u) == ryser_step_loop(u)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_ryser_cached_blocks_bit_identical_to_step_loop(n):
+    # the walk's Gray-code blocks are cached per (n, start): a cold call, and warm
+    # calls after walks of other sizes, give the step loop's bits
+    rng = np.random.default_rng(2000 + n)
+    mats = [random_unit_disk_matrix(rng, n), np.eye(n), np.ones((n, n)), np.zeros((n, n))]
+    expected = [ryser_step_loop(m) for m in mats]
+    _gray_block.cache_clear()
+    assert [permanent_ryser(m) for m in mats] == expected
+    for other in (2, 7, 12):
+        permanent_ryser(random_unit_disk_matrix(rng, other))
+    assert [permanent_ryser(m) for m in mats] == expected
 
 
 def test_with_repeats_all_ones_multiplicity():

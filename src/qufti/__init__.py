@@ -1,11 +1,12 @@
 """Numerics for single-photon Fourier-interferometer phase metrology.
 
-Builds the n-mode Fourier-transform interferometer with a linear phase
-gradient, computes exact matrix permanents (naive and Ryser kernels),
-evaluates the closed-form coincidence probability and its derivative,
-verifies the conjectured permanent product form by brute force, and
-derives phase sensitivities against shot-noise and Heisenberg baselines
-with efficiency and dephasing models.
+Builds the n-mode Fourier-transform interferometer with per-mode phase
+weights (the linear gradient by default), computes exact matrix
+permanents (naive and Ryser kernels), evaluates the closed-form
+coincidence probability and its derivative, verifies the conjectured
+permanent product form by brute force, and derives phase sensitivities
+against shot-noise and Heisenberg baselines with efficiency and
+dephasing models.
 """
 
 from .analytics import (
@@ -16,14 +17,7 @@ from .analytics import (
     probability_derivative,
 )
 from .exceptions import SizeLimitError
-from .matrices import (
-    CustomMask,
-    InterferometerSpec,
-    LinearGradientMask,
-    SingleModeMask,
-    compose_qufti,
-    qft_matrix,
-)
+from .matrices import InterferometerSpec, compose_qufti, qft_matrix
 from .metrology import (
     DephasingParams,
     OutcomeDistribution,
@@ -42,12 +36,9 @@ from .permanent import permanent_naive, permanent_ryser, permanent_with_repeats
 
 __all__ = [
     "ConjectureReport",
-    "CustomMask",
     "DephasingParams",
     "InterferometerSpec",
-    "LinearGradientMask",
     "OutcomeDistribution",
-    "SingleModeMask",
     "SizeLimitError",
     "coincidence_probability",
     "compose_qufti",

@@ -121,6 +121,10 @@ def cmd_dephasing(args: argparse.Namespace) -> tuple[int, str]:
         raise ValueError("--phi must be nonzero (sensitivity diverges at phi = 0)")
     if args.steps < 2 or args.chi_max < 0:
         raise ValueError("need --steps >= 2 and --chi-max >= 0")
+    try:  # the largest variance of the sweep; Python's ** raises on overflow
+        args.chi_max ** 2
+    except OverflowError:
+        raise ValueError(f"--chi-max squared overflows a float, got {args.chi_max!r}") from None
 
     def rows() -> Iterator[str]:
         yield "n,chi,delta_phi_qufti,delta_phi_noon"

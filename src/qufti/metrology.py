@@ -13,20 +13,23 @@ Divergent sensitivities (zero derivative while 0 < P < 1) are returned
 as math.inf rather than raised, so sweep outputs stay rectangular. The
 sweep functions take phi and the noise variance as floats or as ndarrays
 that broadcast together, and give each element the bits of its float call.
+For phase weights other than the gradient there is no closed form:
+sensitivity_for_mask propagates the error of Ryser permanents of the
+composed unitary at the spec's own phi.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analytics
 from .analytics import _libm, _result
 from .exceptions import SizeLimitError
-from .matrices import CustomMask, InterferometerSpec, compose_qufti
+from .matrices import InterferometerSpec, compose_qufti
 from .permanent import permanent_ryser, permanent_with_repeats
 
 # Switchover to the small-angle closed form around the P = 1 stationary point.
@@ -54,7 +57,9 @@ class DephasingParams:
 
     def damping(self, n: int) -> float | np.ndarray:
         """Signal damping factor exp(-n^2 <dchi^2> / 2)."""
-        return _result(_libm(math.exp, -0.5 * n * n * np.asarray(self.chi_sq, dtype=float)))
+        with np.errstate(over="ignore"):  # a huge variance gives -inf, which damps to 0
+            x = -0.5 * n * n * np.asarray(self.chi_sq, dtype=float)
+        return _result(_libm(math.exp, x))
 
 
 @dataclass(frozen=True)
@@ -219,29 +224,28 @@ def fock_output_distribution(spec: InterferometerSpec) -> OutcomeDistribution:
     return OutcomeDistribution(n=n, entries=entries)
 
 
-def sensitivity_for_mask(spec: InterferometerSpec, phi_probe: float) -> float:
-    """Sensitivity for an arbitrary phase mask, fully numeric.
+def sensitivity_for_mask(spec: InterferometerSpec) -> float:
+    """Sensitivity of the device spec describes at its phase spec.phi, fully numeric.
 
-    P(phi) comes from the Ryser permanent of the composed unitary and the
-    derivative from a central finite difference, so this works for masks
-    with no closed form (single-mode, custom). spec.phi is ignored in favor
-    of phi_probe. A custom mask's phases are treated as per-mode weights
-    multiplied by the probed phase: fixed absolute phases would have zero
-    derivative and no sensitivity to speak of. The cost is three Ryser
-    permanents, bounded by the kernel's own size guard.
+    P comes from the Ryser permanent of the composed unitary at phi and
+    phi +- FD_STEP, dP/dphi from their central difference, so this works
+    for weights with no closed form. At a P = 1 maximum (every spec at
+    phi = 0; the gradient at 2 pi k / n) or a P = 0 minimum (the gradient
+    at pi / n for even n) propagation is 0/0. Where P is within FD_STEP**2
+    of 0 or 1, closer than it moves over one step, P - P^2 is mostly
+    rounding, so the limit 1 / sqrt(2 |P''|) is returned instead, with P''
+    the second difference of the same three values. The cost is three
+    Ryser permanents, bounded by the kernel's own size guard.
     """
+    if spec.n < 2:
+        raise ValueError(f"need n >= 2 for interference, got {spec.n}")
 
     def prob(phi: float) -> float:
-        probed = _respec_phi(spec, phi)
-        return abs(permanent_ryser(compose_qufti(probed))) ** 2
+        return abs(permanent_ryser(compose_qufti(replace(spec, phi=phi)))) ** 2
 
-    p = prob(phi_probe)
-    dp = abs(prob(phi_probe + FD_STEP) - prob(phi_probe - FD_STEP)) / (2 * FD_STEP)
-    return _propagate(p, dp)
-
-
-def _respec_phi(spec: InterferometerSpec, phi: float) -> InterferometerSpec:
-    mask = spec.mask
-    if isinstance(mask, CustomMask):
-        mask = CustomMask(tuple(w * phi for w in mask.phases))
-    return InterferometerSpec(n=spec.n, phi=phi, theta=spec.theta, mask=mask)
+    p = prob(spec.phi)
+    lo, hi = prob(spec.phi - FD_STEP), prob(spec.phi + FD_STEP)
+    if min(p, 1.0 - p) > FD_STEP**2:
+        return _propagate(p, abs(hi - lo) / (2 * FD_STEP))
+    curvature = abs(hi - 2.0 * p + lo)
+    return FD_STEP / math.sqrt(2.0 * curvature) if curvature else math.inf

@@ -9,12 +9,9 @@ import qufti
 
 PUBLIC_NAMES = [
     "ConjectureReport",
-    "CustomMask",
     "DephasingParams",
     "InterferometerSpec",
-    "LinearGradientMask",
     "OutcomeDistribution",
-    "SingleModeMask",
     "SizeLimitError",
     "coincidence_probability",
     "compose_qufti",

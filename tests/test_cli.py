@@ -280,6 +280,31 @@ def test_oversized_steps_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_chi_max_square_overflow_exits_2(tmp_path, capsys):
+    # Python's chi ** 2 raises past 1.34e154: a usage error naming the flag
+    out = tmp_path / "deph.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["dephasing", "--n-list", "2", "--chi-max", "1e200", "--steps", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert re.search(r"\nqufti: error: --chi-max squared overflows a float.*\n$", err), err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_huge_chi_max_damps_to_inf_without_warning(tmp_path, capsys):
+    # chi ** 2 = 1e308 is finite, n^2 chi^2 / 2 is not: the damping is 0, quietly
+    out = tmp_path / "deph.csv"
+    assert run(["dephasing", "--n-list", "2", "--chi-max", "1e154", "--steps", "3", "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == [
+        "n,chi,delta_phi_qufti,delta_phi_noon",
+        "2,0.0,0.5000000000000077,0.5000000000000077",
+        "2,5e+153,inf,inf",
+        "2,1e+154,inf,inf",
+    ]
+    assert "Warning" not in capsys.readouterr().err
+
+
 def test_failed_run_leaves_existing_out_untouched(tmp_path):
     out = tmp_path / "deph.csv"
     out.write_bytes(b"n,chi\nearlier,run\n")

@@ -1,17 +1,11 @@
-"""Interferometer construction: QFT matrix, phase masks, closed-form entries."""
+"""Interferometer construction: QFT matrix, phase weights, closed-form entries."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qufti import (
-    CustomMask,
-    InterferometerSpec,
-    SingleModeMask,
-    compose_qufti,
-    qft_matrix,
-)
+from qufti import InterferometerSpec, compose_qufti, qft_matrix
 from qufti.matrices import phase_vector
 
 # Denominator modulus below which the closed-form entry is treated as 0/0.
@@ -76,31 +70,56 @@ def test_phase_diagonal_pi():
     np.testing.assert_allclose(d, [1.0, -1.0], atol=1e-15)
 
 
-def test_phase_diagonal_gradient_combines_theta():
-    d = phase_vector(InterferometerSpec(n=3, phi=0.1, theta=0.2))
-    expected = [1.0, np.exp(0.3j), np.exp(0.6j)]
-    np.testing.assert_allclose(d, expected, atol=1e-14)
-
-
 def test_phase_diagonal_single_mode():
-    d = phase_vector(InterferometerSpec(n=3, phi=0.7, mask=SingleModeMask(2)))
+    d = phase_vector(InterferometerSpec(n=3, phi=0.7, weights=(0.0, 1.0, 0.0)))
     expected = [1.0, np.exp(0.7j), 1.0]
     np.testing.assert_allclose(d, expected, atol=1e-15)
 
 
 def test_phase_diagonal_custom():
-    d = phase_vector(InterferometerSpec(n=2, phi=0.0, mask=CustomMask((0.3, -0.4))))
+    d = phase_vector(InterferometerSpec(n=2, phi=1.0, weights=(0.3, -0.4)))
     np.testing.assert_allclose(d, [np.exp(0.3j), np.exp(-0.4j)], atol=1e-15)
 
 
 def test_custom_mask_wrong_length():
     with pytest.raises(ValueError):
-        InterferometerSpec(n=3, phi=0.0, mask=CustomMask((0.1, 0.2)))
+        InterferometerSpec(n=3, phi=0.0, weights=(0.1, 0.2))
 
 
-def test_single_mode_out_of_range():
-    with pytest.raises(ValueError):
-        InterferometerSpec(n=3, phi=0.0, mask=SingleModeMask(4))
+def test_nonfinite_weight_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            InterferometerSpec(n=3, phi=0.5, weights=(0.0, bad, 2.0))
+
+
+def _old_mask_phases(kind: str, n: int, phi: float, rng) -> tuple[dict, np.ndarray]:
+    """One spec of the three former mask kinds: the weights spec that replaces it,
+    and the phases that kind's own formula put on the modes."""
+    if kind == "gradient":  # phase (j - 1) (phi + theta) on mode j, theta = 0 by default
+        return {"phi": phi}, np.arange(n) * (phi + 0.0)
+    if kind == "gradient+theta":
+        theta = float(rng.uniform(-3.0, 3.0))
+        return {"phi": phi + theta}, np.arange(n) * (phi + theta)
+    if kind == "single":  # phase phi on mode k alone
+        k = int(rng.integers(n))
+        phases = np.zeros(n)
+        phases[k] = phi
+        return {"phi": phi, "weights": tuple(float(i == k) for i in range(n))}, phases
+    custom = tuple(float(p) for p in rng.uniform(-7.0, 7.0, n))  # absolute phases
+    return {"phi": 1.0, "weights": custom}, np.asarray(custom, dtype=float)
+
+
+def test_weights_bit_identical_to_mask_formulas():
+    rng = np.random.default_rng(20150105)
+    phis = [0.0, -0.0, math.pi, -math.pi, 1e-300, -2.5e-9]
+    phis += [float(x) for x in rng.uniform(-10.0, 10.0, 40)]
+    for n in range(1, 17):
+        for phi in phis:
+            for kind in ("gradient", "gradient+theta", "single", "custom"):
+                fields, phases = _old_mask_phases(kind, n, phi, rng)
+                spec = InterferometerSpec(n=n, **fields)
+                got = phase_vector(spec)
+                assert got.tobytes() == np.exp(1j * phases).tobytes(), (kind, n, phi)
 
 
 def test_spec_rejects_nonfinite_phase():
@@ -118,13 +137,6 @@ def test_compose_identity_at_zero_phase():
 def test_compose_unitary(n, phi):
     u = compose_qufti(InterferometerSpec(n=n, phi=phi))
     np.testing.assert_allclose(u @ u.conj().T, np.eye(n), rtol=0, atol=1e-10)
-
-
-def test_theta_additivity():
-    # U(phi, theta) = U(phi + theta, 0) for the gradient mask
-    u1 = compose_qufti(InterferometerSpec(n=6, phi=0.37, theta=0.21))
-    u2 = compose_qufti(InterferometerSpec(n=6, phi=0.58))
-    np.testing.assert_allclose(u1, u2, atol=1e-12)
 
 
 def test_closed_form_hand_value():

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from qufti import (
-    CustomMask,
     DephasingParams,
     InterferometerSpec,
-    SingleModeMask,
     SizeLimitError,
     coincidence_probability,
     compose_qufti,
@@ -278,8 +276,8 @@ def test_distribution_size_guard():
 
 
 def test_mask_sensitivity_gradient_consistency():
-    spec = InterferometerSpec(n=4, phi=0.0)
-    assert sensitivity_for_mask(spec, 0.05) == pytest.approx(
+    spec = InterferometerSpec(n=4, phi=0.05)
+    assert sensitivity_for_mask(spec) == pytest.approx(
         dephased_sensitivity(4, 0.05, DephasingParams(0.0)), rel=1e-4
     )
 
@@ -287,34 +285,65 @@ def test_mask_sensitivity_gradient_consistency():
 @pytest.mark.parametrize("n", [8, 12])
 def test_mask_sensitivity_beyond_distribution_limit(n):
     phi = 0.05 / n
-    assert sensitivity_for_mask(InterferometerSpec(n=n, phi=0.0), phi) == pytest.approx(
+    assert sensitivity_for_mask(InterferometerSpec(n=n, phi=phi)) == pytest.approx(
         dephased_sensitivity(n, phi, DephasingParams(0.0)), rel=1e-6
     )
 
 
 def test_mask_sensitivity_size_guard():
     with pytest.raises(SizeLimitError):
-        sensitivity_for_mask(InterferometerSpec(n=31, phi=0.0), 0.01)
+        sensitivity_for_mask(InterferometerSpec(n=31, phi=0.01))
+
+
+def _stationary_points():
+    for n in range(2, 9):
+        yield n, 0.0
+        yield n, 2 * math.pi / n
+        if n % 2 == 0:
+            yield n, math.pi / n
+
+
+@pytest.mark.parametrize("n,phi", list(_stationary_points()))
+def test_mask_sensitivity_at_stationary_points(n, phi):
+    # P = 1 maxima and the P = 0 minima of even n: propagation is 0/0 there
+    assert sensitivity_for_mask(InterferometerSpec(n=n, phi=phi)) == pytest.approx(
+        dephased_sensitivity(n, phi, DephasingParams(0.0)), rel=1e-3
+    )
+
+
+def test_mask_sensitivity_rejects_n1():
+    with pytest.raises(ValueError, match="n >= 2"):
+        sensitivity_for_mask(InterferometerSpec(n=1, phi=0.3))
+
+
+def test_single_mode_weights_at_zero_finite():
+    val = sensitivity_for_mask(InterferometerSpec(n=4, phi=0.0, weights=(0.0, 1.0, 0.0, 0.0)))
+    assert math.isfinite(val) and val > 0
+
+
+def test_phase_free_weights_give_inf():
+    # zero weights leave P = 1 at every phi: nothing to estimate
+    assert sensitivity_for_mask(InterferometerSpec(n=3, phi=0.4, weights=(0.0, 0.0, 0.0))) == math.inf
 
 
 def test_single_mode_mask_is_worse_than_gradient():
     n = 4
     single = sensitivity_for_mask(
-        InterferometerSpec(n=n, phi=0.0, mask=SingleModeMask(2)), 0.05
+        InterferometerSpec(n=n, phi=0.05, weights=(0.0, 1.0, 0.0, 0.0))
     )
-    gradient = sensitivity_for_mask(InterferometerSpec(n=n, phi=0.0), 0.05)
+    gradient = sensitivity_for_mask(InterferometerSpec(n=n, phi=0.05))
     assert single > gradient
 
 
 def test_single_mode_mask_n2_finite():
-    val = sensitivity_for_mask(InterferometerSpec(n=2, phi=0.0, mask=SingleModeMask(1)), 0.1)
+    val = sensitivity_for_mask(InterferometerSpec(n=2, phi=0.1, weights=(1.0, 0.0)))
     assert math.isfinite(val) and val > 0
 
 
 def test_custom_mask_gradient_weights_match_gradient():
     # weights (0, 1, 2, 3) reproduce the linear gradient
-    spec = InterferometerSpec(n=4, phi=0.0, mask=CustomMask((0.0, 1.0, 2.0, 3.0)))
-    assert sensitivity_for_mask(spec, 0.05) == pytest.approx(
+    spec = InterferometerSpec(n=4, phi=0.05, weights=(0.0, 1.0, 2.0, 3.0))
+    assert sensitivity_for_mask(spec) == pytest.approx(
         dephased_sensitivity(4, 0.05, DephasingParams(0.0)), rel=1e-4
     )
 

@@ -39,6 +39,22 @@ def _result(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _phase(n: int, phi: float | np.ndarray) -> float | np.ndarray:
+    """n phi, or a ValueError naming n * phi where it is not finite."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim == 0:  # a float call stays in float arithmetic, which overflows quietly
+        x = n * float(phi)
+        finite = math.isfinite(x)
+    else:
+        with np.errstate(over="ignore"):
+            x = n * phi
+        finite = np.isfinite(x).all()
+    if not finite:
+        bad = float(phi[~np.isfinite(x)].flat[0])
+        raise ValueError(f"n * phi must be finite, got n = {n} and phi = {bad!r}")
+    return x
+
+
 def _factors(n: int, c: float | np.ndarray) -> list:
     """The n - 1 factors [a(j) c + b(j)] / n^2 of the probability product.
 
@@ -83,7 +99,7 @@ def coincidence_probability(
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    c = _libm(math.cos, n * np.asarray(phi, dtype=float)) * damping
+    c = _libm(math.cos, _phase(n, phi)) * damping
     # left to right, one factor at a time: the order of the scalar product
     acc = np.ones(np.shape(c))
     for f in _factors(n, c):
@@ -103,7 +119,7 @@ def probability_derivative(
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    x = n * np.asarray(phi, dtype=float)
+    x = _phase(n, phi)
     factors = _factors(n, _libm(math.cos, x) * damping)
     # prefix[i] * suffix[i] = product of all factors except factors[i]
     m = len(factors)

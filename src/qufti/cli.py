@@ -89,6 +89,8 @@ def cmd_phase_scan(args: argparse.Namespace) -> tuple[int, str]:
         raise ValueError("--steps must be >= 2")
     if not args.phi_max > args.phi_min:
         raise ValueError("--phi-max must exceed --phi-min")
+    if not math.isfinite(args.phi_max - args.phi_min):  # the grid's span
+        raise ValueError("--phi-max minus --phi-min overflows a float")
 
     def rows() -> Iterator[str]:
         yield "phi,P"

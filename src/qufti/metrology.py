@@ -2,8 +2,9 @@
 
 Sensitivity comes from error propagation on the coincidence observable,
 delta_phi = sqrt(P - P^2) / |dP/dphi|, with one estimator for every noise
-level: the ideal device is zero dephasing. At phi = 0 this is 0/0; the
-small-angle limit sqrt(3 / (2 n (n+1) (n-1))) takes over below PHI_EPS.
+level: the ideal device is zero dephasing. At a double root of P (P = 1 at
+the maxima, P = 0 at the even-n minima) this is 0/0; one rule, read off
+the computed P with the tolerance ROOT_TOL, returns the limit there.
 Baselines use Ordinal Resource Counting, which converts the linearly
 increasing phase interrogations into an equivalent photon number
 N = 1 + n(n-1)/2; the shot-noise and Heisenberg limits are 1/sqrt(N)
@@ -32,8 +33,8 @@ from .exceptions import SizeLimitError
 from .matrices import InterferometerSpec, compose_qufti
 from .permanent import permanent_ryser, permanent_with_repeats
 
-# Switchover to the small-angle closed form around the P = 1 stationary point.
-PHI_EPS = 1e-8
+# Noiseless P this close to a double root (0 or 1, relative) takes the root's limit.
+ROOT_TOL = 1e-9
 
 # |sin(n phi)| below this counts as an interior stationary point.
 STATIONARY_SIN_TOL = 1e-12
@@ -95,12 +96,25 @@ def phase_sensitivity_small_angle(n: int) -> float:
 
 
 def _propagate(p: float | np.ndarray, dp: float | np.ndarray) -> float | np.ndarray:
-    """sqrt(P - P^2) / |dP|: 0.0 where both vanish, inf where only dP does."""
+    """sqrt(P - P^2) / |dP|, inf where only dP vanishes; callers mask the 0/0."""
     # Python's max(v, 0.0); np.maximum would turn a -0.0 into 0.0
     variance = np.where(0.0 > p - p * p, 0.0, p - p * p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sqrt(variance) / dp
-    return _result(np.where(dp == 0.0, np.where(variance == 0.0, 0.0, math.inf), ratio))
+        return _result(np.sqrt(variance) / dp)
+
+
+def _sensitivity(n, p, dp, sin, params, at_maximum, root):
+    """sqrt(P - P^2) / |dP| with one rule for the 0/0 at the double roots of P.
+
+    Without noise, 1 - P <= ROOT_TOL is a P = 1 maximum, with limit at_maximum,
+    and P <= ROOT_TOL root^2 a P = 0 minimum, with limit 1 / (n root); root^2 is
+    the product of the factors of P that do not vanish there. Any other
+    stationary point (|sin| < STATIONARY_SIN_TOL), noisy or not, diverges: inf.
+    """
+    noiseless = np.asarray(params.chi_sq) == 0.0
+    delta = np.where(np.abs(sin) < STATIONARY_SIN_TOL, math.inf, _propagate(p, dp))
+    delta = np.where(noiseless & (p <= ROOT_TOL * root * root), 1.0 / (n * root), delta)
+    return _result(np.where(noiseless & (1.0 - p <= ROOT_TOL), at_maximum, delta))
 
 
 def orc_photon_count(n: int) -> int:
@@ -148,29 +162,16 @@ def dephased_sensitivity(
 ) -> float | np.ndarray:
     """Error-propagation sensitivity; DephasingParams(0.0) is the ideal device.
 
-    Stationary points (sin(n phi) = 0) are decided by noise, the sign of
-    cos(n phi) and the parity of n. Noiseless, cos(n phi) = 1 is the P = 1
-    maximum, the removable 0/0 of phi = 0: the small-angle value. For even
-    n, cos(n phi) = -1 zeroes the j = n/2 factor, so P = 0 is another
-    removable 0/0 with limit 1 / (n prod_{j != n/2} |n - 2j| / n). Any
-    other stationary point, odd n at cos(n phi) = -1 (tiny P > 0) or any
-    under noise, is a divergence of the estimator and returns inf.
+    Noiseless, the P = 1 maxima (phi = 2 pi k / n) give the small-angle value;
+    at cos(n phi) = -1 the j = n/2 factor of even n vanishes, a P = 0 minimum.
+    For odd n, P = prod_j ((n - 2j) / n)^2 > 0 there: a divergence, inf.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 for interference, got {n}")
-    phi = np.asarray(phi, dtype=float)
-    noiseless = np.asarray(params.chi_sq) == 0.0
-    x = n * phi
-    stationary = np.abs(_libm(math.sin, x)) < STATIONARY_SIN_TOL
-    maximum = noiseless & ((np.abs(phi) < PHI_EPS) | (stationary & (_libm(math.cos, x) > 0)))
-    if n % 2 == 0:
-        limit = 1.0 / (n * math.prod(abs(n - 2 * j) / n for j in range(1, n) if 2 * j != n))
-    else:
-        limit = math.inf
-    p = dephased_probability(n, phi, params)
-    delta = _propagate(p, dephased_derivative(n, phi, params))
-    delta = np.where(stationary, np.where(noiseless, limit, math.inf), delta)
-    return _result(np.where(maximum, phase_sensitivity_small_angle(n), delta))
+    p, dp = dephased_probability(n, phi, params), dephased_derivative(n, phi, params)
+    sin = _libm(math.sin, analytics._phase(n, phi))
+    root = math.prod(abs(n - 2 * j) / n for j in range(1, n) if 2 * j != n)
+    return _sensitivity(n, p, dp, sin, params, phase_sensitivity_small_angle(n), root)
 
 
 def noon_dephased_sensitivity(
@@ -180,21 +181,17 @@ def noon_dephased_sensitivity(
 
     The two-mode NOON signal is cos(N phi); its expectation observable is
     (1 + cos(N phi) d)/2 with d the N-photon damping factor. Undamped and
-    at every phi this saturates the Heisenberg limit 1/N, which stands in
-    for the 0/0 at stationary points; under noise those diverge.
+    at every phi this saturates the Heisenberg limit 1/N, which is also the
+    limit at its double roots; under noise the stationary points diverge.
     """
     if n_photons < 2:
         raise ValueError(f"need N >= 2, got {n_photons}")
-    phi = np.asarray(phi, dtype=float)
-    noiseless = np.asarray(params.chi_sq) == 0.0
-    x = n_photons * phi
+    x = analytics._phase(n_photons, phi)
     sin = _libm(math.sin, x)
     d = params.damping(n_photons)
     p = 0.5 * (1.0 + _libm(math.cos, x) * d)
     dp = 0.5 * n_photons * np.abs(sin) * d
-    delta = _propagate(p, dp)
-    special = (np.abs(sin) < STATIONARY_SIN_TOL) | (noiseless & (np.abs(phi) < PHI_EPS))
-    return _result(np.where(special, np.where(noiseless, 1.0 / n_photons, math.inf), delta))
+    return _sensitivity(n_photons, p, dp, sin, params, 1.0 / n_photons, 1.0)
 
 
 def fock_output_distribution(spec: InterferometerSpec) -> OutcomeDistribution:
@@ -229,23 +226,25 @@ def sensitivity_for_mask(spec: InterferometerSpec) -> float:
 
     P comes from the Ryser permanent of the composed unitary at phi and
     phi +- FD_STEP, dP/dphi from their central difference, so this works
-    for weights with no closed form. At a P = 1 maximum (every spec at
-    phi = 0; the gradient at 2 pi k / n) or a P = 0 minimum (the gradient
-    at pi / n for even n) propagation is 0/0. Where P is within FD_STEP**2
-    of 0 or 1, closer than it moves over one step, P - P^2 is mostly
-    rounding, so the limit 1 / sqrt(2 |P''|) is returned instead, with P''
-    the second difference of the same three values. The cost is three
-    Ryser permanents, bounded by the kernel's own size guard.
+    for weights with no closed form; weights[0] is subtracted from every
+    weight first, as a global phase leaves P unchanged. Near a double root
+    of P (P = 1 at every spec's phi = 0, P = 0 at the even-n gradient's
+    pi / n) propagation is 0/0. Where 2 min(P, 1 - P) <= |P''|, with P''
+    the second difference of the three values, P is within one step of its
+    root and the limit FD_STEP / sqrt(2 |P''|) is returned instead. The
+    cost is three Ryser permanents, bounded by the kernel's own size guard.
     """
     if spec.n < 2:
         raise ValueError(f"need n >= 2 for interference, got {spec.n}")
+    if spec.weights is not None:
+        spec = replace(spec, weights=tuple(w - spec.weights[0] for w in spec.weights))
 
     def prob(phi: float) -> float:
         return abs(permanent_ryser(compose_qufti(replace(spec, phi=phi)))) ** 2
 
     p = prob(spec.phi)
     lo, hi = prob(spec.phi - FD_STEP), prob(spec.phi + FD_STEP)
-    if min(p, 1.0 - p) > FD_STEP**2:
-        return _propagate(p, abs(hi - lo) / (2 * FD_STEP))
     curvature = abs(hi - 2.0 * p + lo)
+    if 2.0 * min(p, 1.0 - p) > curvature:
+        return _propagate(p, abs(hi - lo) / (2 * FD_STEP))
     return FD_STEP / math.sqrt(2.0 * curvature) if curvature else math.inf

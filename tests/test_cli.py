@@ -135,6 +135,21 @@ def test_dephasing_shape_and_monotonicity(tmp_path):
         assert values == sorted(values)
 
 
+def test_dephasing_at_double_roots_gives_their_limits(tmp_path):
+    # phi = pi/4 + 1e-9: near the P = 0 minimum for n = 4, the NOON maximum for N = 16
+    out = tmp_path / "deph.csv"
+    assert run([
+        "dephasing", "--n-list", "2", "4", "6", "--phi", "0.7853981643974483",
+        "--chi-max", "0.001", "--steps", "2", "--out", str(out),
+    ]) == 0
+    rows = {(int(n), float(chi)): (float(d), float(d_noon))
+            for n, chi, d, d_noon in (line.split(",") for line in out.read_text().splitlines()[1:])}
+    assert len(rows) == 6
+    assert all(d > 0.0 and d_noon > 0.0 for d, d_noon in rows.values())
+    assert rows[4, 0.0][0] == 1.0
+    assert rows[6, 0.0][1] == 1 / 16
+
+
 def test_dephasing_rejects_zero_phi(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["dephasing", "--n-list", "4", "--phi", "0", "--out", str(tmp_path / "d.csv")])
@@ -208,6 +223,9 @@ LIBRARY_DOMAIN_ERRORS = [
     (["dephasing", "--n-list", "1", "3"], "need n >= 2 for interference, got 1"),
     # the bad n comes after a good block: the rows written so far must not reach --out
     (["dephasing", "--n-list", "3", "1"], "need n >= 2 for interference, got 1"),
+    (["phase-scan", "--n", "20", "--phi-max", "1e307"], "n * phi must be finite, got n = 20"),
+    (["dephasing", "--n-list", "3", "--phi", "1e308"],
+     "n * phi must be finite, got n = 3 and phi = 1e+308"),
 ]
 
 
@@ -238,6 +256,8 @@ FLAG_ERRORS = [
     (["dephasing", "--n-list", "4", "--phi", "inf"], "--phi must be finite"),
     (["dephasing", "--n-list", "4", "--chi-max", "nan"], "--chi-max must be finite"),
     (["dephasing", "--n-list", "4", "--chi-max", "inf"], "--chi-max must be finite"),
+    (["phase-scan", "--n", "3", "--phi-min=-1e308", "--phi-max", "1e308", "--steps", "3"],
+     "--phi-max minus --phi-min overflows a float"),
 ]
 
 
@@ -330,6 +350,10 @@ def test_pipe_out_is_written_in_place(tmp_path):
     assert stat.S_ISFIFO(pipe.stat().st_mode)
     assert received[0].decode().splitlines()[0] == "n,phi,P,dP,delta_phi,snl,hl"
     assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+    # every row arrives: the same bytes as a regular file gets
+    regular = tmp_path / "regular.csv"
+    assert run(["sensitivity-scan", "--n-max", "3", "--out", str(regular)]) == 0
+    assert received[0] == regular.read_bytes()
 
 
 def test_sweeps_match_scalar_rows_across_blocks(tmp_path):

@@ -428,3 +428,58 @@ def test_sensitivity_masks_match_scalar_rule():
     # a float call still returns a float
     assert type(dephased_sensitivity(4, 0.3, DephasingParams(0.0))) is float
     assert type(noon_dephased_sensitivity(4, 0.3, DephasingParams(1e-4))) is float
+
+
+def test_sensitivity_matches_mpmath_near_double_roots():
+    # 0/0 at the P = 1 maxima (0, 2 pi / n) and, for even n, the P = 0 minimum
+    # pi / n; the NOON signal has both at every N. The reference propagates
+    # the same closed form in 50-digit arithmetic at the same float phi.
+    mpmath = pytest.importorskip("mpmath")
+
+    def reference(n, phi):
+        x = n * mpmath.mpf(phi)
+        c = mpmath.cos(x)
+        f = [(2 * j * (n - j) * c + n * n - 2 * j * n + 2 * j * j) / (n * n) for j in range(1, n)]
+        p = mpmath.fprod(f)
+        dp = n * abs(mpmath.sin(x)) * mpmath.fsum(
+            mpmath.mpf(2 * j * (n - j)) / (n * n) * mpmath.fprod(f[: j - 1] + f[j:])
+            for j in range(1, n)
+        )
+        return mpmath.sqrt(p - p * p) / dp
+
+    def noon_reference(big_n, phi):
+        x = big_n * mpmath.mpf(phi)
+        p = (1 + mpmath.cos(x)) / 2
+        return mpmath.sqrt(p - p * p) / (big_n * abs(mpmath.sin(x)) / 2)
+
+    offsets = [s * 10 ** (-k / 2) for k in range(8, 26) for s in (1, -1)]
+    params = DephasingParams(0.0)
+    for n in range(2, 13):
+        for root in (0.0, 2 * math.pi / n, math.pi / n):
+            phis = [root + o for o in offsets]
+            with mpmath.workdps(50):
+                noon_ref = [float(noon_reference(n, x)) for x in phis]
+                ref = [float(reference(n, x)) for x in phis]
+            noon = noon_dephased_sensitivity(n, np.array(phis), params)
+            assert noon.tolist() == pytest.approx(noon_ref, rel=5e-7)
+            if root == math.pi / n and n % 2:
+                continue  # odd n: P > 0 at pi / n, no double root
+            assert dephased_sensitivity(n, np.array(phis), params).tolist() == pytest.approx(
+                ref, rel=5e-7
+            )
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_mask_sensitivity_large_n_away_from_roots(n):
+    # P is 7.6e-13 and 3.4e-14 here: small, yet many steps from the P = 0 minimum at pi / n
+    phi = 0.9 * math.pi / n
+    assert sensitivity_for_mask(InterferometerSpec(n=n, phi=phi)) == pytest.approx(
+        dephased_sensitivity(n, phi, DephasingParams(0.0)), rel=1e-3
+    )
+
+
+def test_mask_weights_are_free_of_a_global_phase():
+    # equal weights only shift every mode's phase alike: P = 1 at every phi
+    assert sensitivity_for_mask(InterferometerSpec(n=3, phi=0.4, weights=(1.0, 1.0, 1.0))) == math.inf
+    shifted = sensitivity_for_mask(InterferometerSpec(n=3, phi=0.4, weights=(2.5, 3.5, 4.5)))
+    assert shifted == sensitivity_for_mask(InterferometerSpec(n=3, phi=0.4, weights=(0.0, 1.0, 2.0)))

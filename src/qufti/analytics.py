@@ -40,18 +40,13 @@ def _result(x):
 
 
 def _phase(n: int, phi: float | np.ndarray) -> float | np.ndarray:
-    """n phi, or a ValueError naming n * phi where it is not finite."""
+    """n phi, or a ValueError naming the first phi at which it is not finite."""
     phi = np.asarray(phi, dtype=float)
-    if phi.ndim == 0:  # a float call stays in float arithmetic, which overflows quietly
-        x = n * float(phi)
-        finite = math.isfinite(x)
-    else:
-        with np.errstate(over="ignore"):
-            x = n * phi
-        finite = np.isfinite(x).all()
-    if not finite:
+    with np.errstate(over="ignore"):
+        x = n * phi
+    if not np.isfinite(x).all():
         bad = float(phi[~np.isfinite(x)].flat[0])
-        raise ValueError(f"n * phi must be finite, got n = {n} and phi = {bad!r}")
+        raise ValueError(f"{n} * phi must be finite, got phi = {bad!r}")
     return x
 
 

@@ -127,6 +127,10 @@ def cmd_dephasing(args: argparse.Namespace) -> tuple[int, str]:
         args.chi_max ** 2
     except OverflowError:
         raise ValueError(f"--chi-max squared overflows a float, got {args.chi_max!r}") from None
+    # the largest phase of the sweep is the NOON comparator's N phi, N >= n
+    big_n = metrology.orc_photon_count(max(args.n_list))
+    if not math.isfinite(big_n * args.phi):
+        raise ValueError(f"--phi times the NOON photon count {big_n} overflows a float, got {args.phi!r}")
 
     def rows() -> Iterator[str]:
         yield "n,chi,delta_phi_qufti,delta_phi_noon"

@@ -223,9 +223,7 @@ LIBRARY_DOMAIN_ERRORS = [
     (["dephasing", "--n-list", "1", "3"], "need n >= 2 for interference, got 1"),
     # the bad n comes after a good block: the rows written so far must not reach --out
     (["dephasing", "--n-list", "3", "1"], "need n >= 2 for interference, got 1"),
-    (["phase-scan", "--n", "20", "--phi-max", "1e307"], "n * phi must be finite, got n = 20"),
-    (["dephasing", "--n-list", "3", "--phi", "1e308"],
-     "n * phi must be finite, got n = 3 and phi = 1e+308"),
+    (["phase-scan", "--n", "20", "--phi-max", "1e307"], "20 * phi must be finite, got phi = 9e+306"),
 ]
 
 
@@ -258,6 +256,11 @@ FLAG_ERRORS = [
     (["dephasing", "--n-list", "4", "--chi-max", "inf"], "--chi-max must be finite"),
     (["phase-scan", "--n", "3", "--phi-min=-1e308", "--phi-max", "1e308", "--steps", "3"],
      "--phi-max minus --phi-min overflows a float"),
+    (["dephasing", "--n-list", "3", "--phi", "1e308"],
+     "--phi times the NOON photon count 4 overflows a float, got 1e+308"),
+    # n * phi is finite for n = 3; the NOON comparator's N = 4 overflows it
+    (["dephasing", "--n-list", "3", "--phi", "5e307"],
+     "--phi times the NOON photon count 4 overflows a float, got 5e+307"),
 ]
 
 

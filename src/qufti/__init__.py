@@ -2,7 +2,7 @@
 
 Builds the n-mode Fourier-transform interferometer with per-mode phase
 weights (the linear gradient by default), computes exact matrix
-permanents (naive and Ryser kernels), evaluates the closed-form
+permanents (a naive oracle and a Glynn kernel), evaluates the closed-form
 coincidence probability and its derivative, verifies the conjectured
 permanent product form by brute force, and derives phase sensitivities
 against shot-noise and Heisenberg baselines with efficiency and

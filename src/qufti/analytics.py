@@ -3,7 +3,7 @@
 The permanent of the n-mode interferometer follows an empirical product
 pattern, Per(U) = (1/n^{n-1}) prod_{j=1}^{n-1} (j e^{i n phi} + n - j).
 This is a conjecture, not a theorem; `conjecture_verify` checks it against
-the Ryser permanent of the explicitly composed matrix and reports the
+the exact (Glynn) permanent of the explicitly composed matrix and reports the
 worst-case absolute error. From the pattern follow a real product form for
 the coincidence probability and an analytic derivative.
 """
@@ -132,7 +132,7 @@ def probability_derivative(
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """Worst-case disagreement between the product form and the Ryser permanent."""
+    """Worst-case disagreement between the product form and the exact permanent."""
 
     n_range: tuple[int, int]
     samples: int
@@ -149,7 +149,7 @@ class ConjectureReport:
 
 
 def conjecture_verify(n_max: int, phi_samples: int) -> ConjectureReport:
-    """Check the product form against the Ryser permanent on a phi grid.
+    """Check the product form against the exact (Glynn) permanent on a phi grid.
 
     Scans n = 2..n_max and phi_samples uniform points over [0, 2 pi); the
     first worst case in scan order is reported.

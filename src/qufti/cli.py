@@ -21,6 +21,7 @@ import numpy as np
 
 from . import analytics, metrology
 from .matrices import InterferometerSpec
+from .permanent import KERNEL
 
 VERIFY_THRESHOLD = 1e-9
 
@@ -71,7 +72,7 @@ def _check_finite(args: argparse.Namespace, *names: str) -> None:
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     report = analytics.conjecture_verify(args.n_max, args.samples)
     _write_lines(args.out, [json.dumps(report.to_json_dict(), indent=2)])
-    summary = f"max_abs_error={report.max_abs_error:.3e}"
+    summary = f"max_abs_error={report.max_abs_error:.3e} kernel={KERNEL}"
     if report.max_abs_error < VERIFY_THRESHOLD:
         print(f"conjecture holds: max |error| = {report.max_abs_error:.3e}")
         return 0, summary
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="check the permanent product form against Ryser")
+    p = sub.add_parser("verify", help="check the permanent product form against Glynn's formula")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--out", default="conjecture_report.json")

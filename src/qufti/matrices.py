@@ -10,6 +10,7 @@ under the gradient.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,8 +61,18 @@ def phase_vector(spec: InterferometerSpec) -> NDArray[np.complex128]:
     return np.exp(1j * (w * spec.phi))
 
 
+@functools.lru_cache(maxsize=32)
+def _qft_pair(n: int) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+    """V and its conjugate for n modes, read-only and cached: every spec of one
+    size, one per phi, shares them."""
+    v = qft_matrix(n)
+    vc = v.conj()
+    v.setflags(write=False)
+    vc.setflags(write=False)
+    return v, vc
+
+
 def compose_qufti(spec: InterferometerSpec) -> NDArray[np.complex128]:
     """Full interferometer unitary U = V . D . V+ for the given spec."""
-    v = qft_matrix(spec.n)
-    d = phase_vector(spec)
-    return (v * d) @ v.conj().T
+    v, vc = _qft_pair(spec.n)
+    return (v * phase_vector(spec)) @ vc.T

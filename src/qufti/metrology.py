@@ -4,7 +4,8 @@ Sensitivity comes from error propagation on the coincidence observable,
 delta_phi = sqrt(P - P^2) / |dP/dphi|, with one estimator for every noise
 level: the ideal device is zero dephasing. At a double root of P (P = 1 at
 the maxima, P = 0 at the even-n minima) this is 0/0; one rule, read off
-the computed P with the tolerance ROOT_TOL, returns the limit there.
+the computed P with the tolerance ROOT_TOL, returns the limit there
+wherever the damping is exactly 1.
 Baselines use Ordinal Resource Counting, which converts the linearly
 increasing phase interrogations into an equivalent photon number
 N = 1 + n(n-1)/2; the shot-noise and Heisenberg limits are 1/sqrt(N)
@@ -15,7 +16,7 @@ as math.inf rather than raised, so sweep outputs stay rectangular. The
 sweep functions take phi and the noise variance as floats or as ndarrays
 that broadcast together, and give each element the bits of its float call.
 For phase weights other than the gradient there is no closed form:
-sensitivity_for_mask propagates the error of Ryser permanents of the
+sensitivity_for_mask propagates the error of exact permanents of the
 composed unitary at the spec's own phi.
 """
 
@@ -103,15 +104,17 @@ def _propagate(p: float | np.ndarray, dp: float | np.ndarray) -> float | np.ndar
         return _result(np.sqrt(variance) / dp)
 
 
-def _sensitivity(n, p, dp, sin, params, at_maximum, root):
+def _sensitivity(n, p, dp, sin, damping, at_maximum, root):
     """sqrt(P - P^2) / |dP| with one rule for the 0/0 at the double roots of P.
 
-    Without noise, 1 - P <= ROOT_TOL is a P = 1 maximum, with limit at_maximum,
-    and P <= ROOT_TOL root^2 a P = 0 minimum, with limit 1 / (n root); root^2 is
-    the product of the factors of P that do not vanish there. Any other
-    stationary point (|sin| < STATIONARY_SIN_TOL), noisy or not, diverges: inf.
+    Without noise (damping exactly 1, which a variance too small to damp the
+    signal also gives), 1 - P <= ROOT_TOL is a P = 1 maximum, with limit
+    at_maximum, and P <= ROOT_TOL root^2 a P = 0 minimum, with limit
+    1 / (n root); root^2 is the product of the factors of P that do not
+    vanish there. Any other stationary point (|sin| < STATIONARY_SIN_TOL),
+    noisy or not, diverges: inf.
     """
-    noiseless = np.asarray(params.chi_sq) == 0.0
+    noiseless = np.asarray(damping) == 1.0
     delta = np.where(np.abs(sin) < STATIONARY_SIN_TOL, math.inf, _propagate(p, dp))
     delta = np.where(noiseless & (p <= ROOT_TOL * root * root), 1.0 / (n * root), delta)
     return _result(np.where(noiseless & (1.0 - p <= ROOT_TOL), at_maximum, delta))
@@ -168,10 +171,12 @@ def dephased_sensitivity(
     """
     if n < 2:
         raise ValueError(f"need n >= 2 for interference, got {n}")
-    p, dp = dephased_probability(n, phi, params), dephased_derivative(n, phi, params)
+    d = params.damping(n)
+    p = analytics.coincidence_probability(n, phi, d)
+    dp = analytics.probability_derivative(n, phi, d)
     sin = _libm(math.sin, analytics._phase(n, phi))
     root = math.prod(abs(n - 2 * j) / n for j in range(1, n) if 2 * j != n)
-    return _sensitivity(n, p, dp, sin, params, phase_sensitivity_small_angle(n), root)
+    return _sensitivity(n, p, dp, sin, d, phase_sensitivity_small_angle(n), root)
 
 
 def noon_dephased_sensitivity(
@@ -191,7 +196,7 @@ def noon_dephased_sensitivity(
     d = params.damping(n_photons)
     p = 0.5 * (1.0 + _libm(math.cos, x) * d)
     dp = 0.5 * n_photons * np.abs(sin) * d
-    return _sensitivity(n_photons, p, dp, sin, params, 1.0 / n_photons, 1.0)
+    return _sensitivity(n_photons, p, dp, sin, d, 1.0 / n_photons, 1.0)
 
 
 def fock_output_distribution(spec: InterferometerSpec) -> OutcomeDistribution:
@@ -224,7 +229,7 @@ def fock_output_distribution(spec: InterferometerSpec) -> OutcomeDistribution:
 def sensitivity_for_mask(spec: InterferometerSpec) -> float:
     """Sensitivity of the device spec describes at its phase spec.phi, fully numeric.
 
-    P comes from the Ryser permanent of the composed unitary at phi and
+    P comes from the exact permanent of the composed unitary at phi and
     phi +- FD_STEP, dP/dphi from their central difference, so this works
     for weights with no closed form; weights[0] is subtracted from every
     weight first, as a global phase leaves P unchanged. Near a double root
@@ -232,7 +237,7 @@ def sensitivity_for_mask(spec: InterferometerSpec) -> float:
     pi / n) propagation is 0/0. Where 2 min(P, 1 - P) <= |P''|, with P''
     the second difference of the three values, P is within one step of its
     root and the limit FD_STEP / sqrt(2 |P''|) is returned instead. The
-    cost is three Ryser permanents, bounded by the kernel's own size guard.
+    cost is three exact permanents, bounded by the kernel's own size guard.
     """
     if spec.n < 2:
         raise ValueError(f"need n >= 2 for interference, got {spec.n}")

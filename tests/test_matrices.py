@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qufti import InterferometerSpec, compose_qufti, qft_matrix
-from qufti.matrices import phase_vector
+from qufti.matrices import _qft_pair, phase_vector
 
 # Denominator modulus below which the closed-form entry is treated as 0/0.
 SINGULAR_TOL = 1e-14
@@ -131,6 +131,30 @@ def test_compose_identity_at_zero_phase():
     for n in (2, 5, 16):
         u = compose_qufti(InterferometerSpec(n=n, phi=0.0))
         np.testing.assert_allclose(u, np.eye(n), atol=1e-12)
+
+
+def test_compose_cached_qft_bit_identical_to_fresh():
+    # V and its conjugate are cached per n; U keeps the bits of rebuilding them per call
+    rng = np.random.default_rng(24)
+    for n in range(1, 25):
+        weights = tuple(float(w) for w in rng.uniform(-3.0, 3.0, n))
+        cases = [{"phi": phi} for phi in (0.0, 0.3, -2.9, 1e-9)] + [{"phi": 1.1, "weights": weights}]
+        for fields in cases:
+            spec = InterferometerSpec(n=n, **fields)
+            v = qft_matrix(n)
+            fresh = (v * phase_vector(spec)) @ v.conj().T
+            assert compose_qufti(spec).tobytes() == fresh.tobytes(), (n, fields)
+
+
+def test_cached_qft_is_read_only():
+    v, vc = _qft_pair(3)
+    for cached in (v, vc):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+    # the public constructor still hands out a fresh, writable matrix
+    q = qft_matrix(3)
+    q[0, 0] = 0.0
+    assert _qft_pair(3)[0][0, 0] != 0.0
 
 
 @pytest.mark.parametrize("n,phi", [(2, 0.3), (5, 1.1), (9, -2.4), (16, 0.01)])

@@ -216,6 +216,18 @@ def test_noon_stationary_points(big_n):
     assert math.isinf(noon_dephased_sensitivity(big_n, phi, DephasingParams(0.005**2)))
 
 
+def test_noise_too_small_to_damp_is_noiseless():
+    # damping exp(-n^2 * 1e-300 / 2) rounds to 1.0, so P rounds to 1.0 at this phi: the
+    # P = 1 maximum's limit, not sqrt(0) / dP = 0, below the Heisenberg limit
+    tiny = DephasingParams(1e-300)
+    assert tiny.damping(4) == 1.0
+    assert dephased_sensitivity(4, 1e-12, tiny) == phase_sensitivity_small_angle(4)
+    assert noon_dephased_sensitivity(4, 1e-12, tiny) == 1 / 4
+    both = DephasingParams(np.array([0.0, 1e-300]))
+    assert dephased_sensitivity(4, 1e-12, both).tolist() == [phase_sensitivity_small_angle(4)] * 2
+    assert noon_dephased_sensitivity(4, 1e-12, both).tolist() == [1 / 4] * 2
+
+
 def test_noon_degrades_with_noise():
     clean = noon_dephased_sensitivity(8, 0.01, DephasingParams(0.0))
     noisy = noon_dephased_sensitivity(8, 0.01, DephasingParams(0.005**2))

@@ -1,5 +1,6 @@
 """Permanent kernels against the permutation-expansion oracle."""
 
+import cmath
 import math
 
 import numpy as np
@@ -114,8 +115,30 @@ def test_ryser_bit_reproducible():
     assert permanent_ryser(m) == permanent_ryser(m.copy())
 
 
+def glynn_step_loop(m):
+    """Bit reference: Glynn's Gray-code walk one step at a time, in the kernel's order."""
+    n = m.shape[0]
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    row_sums = a.sum(axis=1)  # every sign +1
+    total = 0j + complex(np.prod(row_sums))  # step 0, added to a zero total
+    sign = 1
+    gray = 0
+    for step in range(1, 1 << (n - 1)):
+        new_gray = step ^ (step >> 1)
+        flipped = (gray ^ new_gray).bit_length() - 1
+        if new_gray & (1 << flipped):
+            row_sums -= 2 * a[:, flipped]
+        else:
+            row_sums += 2 * a[:, flipped]
+        sign = -sign
+        gray = new_gray
+        total += sign * complex(np.prod(row_sums))
+    scale = math.ldexp(1.0, 1 - n)
+    return complex(total.real * scale, total.imag * scale)
+
+
 def ryser_step_loop(m):
-    """Reference: the Gray-code walk one step at a time, in the kernel's order."""
+    """Independent oracle: Ryser's inclusion-exclusion walk, one step at a time."""
     n = m.shape[0]
     a = np.ascontiguousarray(m, dtype=np.complex128)
     row_sums = np.zeros(n, dtype=np.complex128)
@@ -135,18 +158,24 @@ def ryser_step_loop(m):
     return -total if n % 2 else total
 
 
+def assert_matches_ryser(value, m):
+    assert cmath.isclose(value, ryser_step_loop(m), rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("n", range(1, 14))
 def test_ryser_bit_identical_to_step_loop(n):
-    # n = 11, 12, 13 walk 2, 4 and 8 blocks, so the carries between blocks count
+    # n = 12 and 13 walk 2 and 4 blocks, so the carries between blocks count
     rng = np.random.default_rng(1000 + n)
     m = random_unit_disk_matrix(rng, n)
-    assert permanent_ryser(m) == ryser_step_loop(m)
+    value = permanent_ryser(m)
+    assert value == glynn_step_loop(m)
+    assert_matches_ryser(value, m)
 
 
 def test_ryser_bit_identical_to_step_loop_verify_grid():
     for phi in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
         u = compose_qufti(InterferometerSpec(n=12, phi=float(phi)))
-        assert permanent_ryser(u) == ryser_step_loop(u)
+        assert permanent_ryser(u) == glynn_step_loop(u)
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -155,12 +184,26 @@ def test_ryser_cached_blocks_bit_identical_to_step_loop(n):
     # calls after walks of other sizes, give the step loop's bits
     rng = np.random.default_rng(2000 + n)
     mats = [random_unit_disk_matrix(rng, n), np.eye(n), np.ones((n, n)), np.zeros((n, n))]
-    expected = [ryser_step_loop(m) for m in mats]
+    expected = [glynn_step_loop(m) for m in mats]
     _gray_block.cache_clear()
     assert [permanent_ryser(m) for m in mats] == expected
     for other in (2, 7, 12):
         permanent_ryser(random_unit_disk_matrix(rng, other))
     assert [permanent_ryser(m) for m in mats] == expected
+    for value, m in zip(expected, mats):
+        assert_matches_ryser(value, m)
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_ryser_against_product_form_in_mpmath(n):
+    # the gradient permanent n^(1-n) prod_j (j e^{i n phi} + n - j) in 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for phi in (0.3, 1.1, 2.5):
+            z = mpmath.expj(n * mpmath.mpf(phi))
+            exact = mpmath.mpf(n) ** (1 - n) * mpmath.fprod(j * z + n - j for j in range(1, n))
+            value = permanent_ryser(compose_qufti(InterferometerSpec(n=n, phi=phi)))
+            assert abs(mpmath.mpc(value) - exact) < 1e-13
 
 
 def test_with_repeats_all_ones_multiplicity():

@@ -2,10 +2,10 @@
 
 Sensitivity comes from error propagation on the coincidence observable,
 delta_phi = sqrt(P - P^2) / |dP/dphi|, with one estimator for every noise
-level: the ideal device is zero dephasing. At a double root of P (P = 1 at
-the maxima, P = 0 at the even-n minima) this is 0/0; one rule, read off
-the computed P with the tolerance ROOT_TOL, returns the limit there
-wherever the damping is exactly 1.
+level: the ideal device is zero dephasing. One rule serves every
+sensitivity: a double root of P (P = 1 at the maxima, P = 0 at the even-n
+minima) takes its 0/0 limit, decided from the computed P; any other
+stationary point diverges, inf; every other point propagates the error.
 Baselines use Ordinal Resource Counting, which converts the linearly
 increasing phase interrogations into an equivalent photon number
 N = 1 + n(n-1)/2; the shot-noise and Heisenberg limits are 1/sqrt(N)
@@ -72,7 +72,7 @@ class OutcomeDistribution:
     entries: list[tuple[tuple[int, ...], float]]
 
     def total(self) -> float:
-        return sum(p for _, p in self.entries)
+        return math.fsum(p for _, p in self.entries)
 
     def probability_of(self, occupation: tuple[int, ...]) -> float:
         for occ, p in self.entries:
@@ -96,14 +96,6 @@ def phase_sensitivity_small_angle(n: int) -> float:
     return math.sqrt(3.0 / (2.0 * n * (n + 1) * (n - 1)))
 
 
-def _propagate(p: float | np.ndarray, dp: float | np.ndarray) -> float | np.ndarray:
-    """sqrt(P - P^2) / |dP|, inf where only dP vanishes; callers mask the 0/0."""
-    # Python's max(v, 0.0); np.maximum would turn a -0.0 into 0.0
-    variance = np.where(0.0 > p - p * p, 0.0, p - p * p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _result(np.sqrt(variance) / dp)
-
-
 def _sensitivity(n, p, dp, sin, damping, at_maximum, root):
     """sqrt(P - P^2) / |dP| with one rule for the 0/0 at the double roots of P.
 
@@ -115,7 +107,10 @@ def _sensitivity(n, p, dp, sin, damping, at_maximum, root):
     noisy or not, diverges: inf.
     """
     noiseless = np.asarray(damping) == 1.0
-    delta = np.where(np.abs(sin) < STATIONARY_SIN_TOL, math.inf, _propagate(p, dp))
+    # Python's max(v, 0.0); np.maximum would turn a -0.0 into 0.0
+    variance = np.where(0.0 > p - p * p, 0.0, p - p * p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.where(np.abs(sin) < STATIONARY_SIN_TOL, math.inf, np.sqrt(variance) / dp)
     delta = np.where(noiseless & (p <= ROOT_TOL * root * root), 1.0 / (n * root), delta)
     return _result(np.where(noiseless & (1.0 - p <= ROOT_TOL), at_maximum, delta))
 
@@ -232,12 +227,13 @@ def sensitivity_for_mask(spec: InterferometerSpec) -> float:
     P comes from the exact permanent of the composed unitary at phi and
     phi +- FD_STEP, dP/dphi from their central difference, so this works
     for weights with no closed form; weights[0] is subtracted from every
-    weight first, as a global phase leaves P unchanged. Near a double root
-    of P (P = 1 at every spec's phi = 0, P = 0 at the even-n gradient's
-    pi / n) propagation is 0/0. Where 2 min(P, 1 - P) <= |P''|, with P''
-    the second difference of the three values, P is within one step of its
-    root and the limit FD_STEP / sqrt(2 |P''|) is returned instead. The
-    cost is three exact permanents, bounded by the kernel's own size guard.
+    weight first, as a global phase leaves P unchanged. The module's rule
+    is read off the three values, with P'' their second difference: where
+    2 min(P, 1 - P) <= |P''|, P is within one step of a double root (P = 1
+    at every spec's phi = 0, P = 0 at the even-n gradient's pi / n), so the
+    limit FD_STEP / sqrt(2 |P''|); where |P(phi + h) - P(phi - h)| <= |P''|,
+    within half a step of any other stationary point (the odd-n gradient's
+    pi / n), inf. The cost is three exact permanents, under the kernel's guard.
     """
     if spec.n < 2:
         raise ValueError(f"need n >= 2 for interference, got {spec.n}")
@@ -250,6 +246,9 @@ def sensitivity_for_mask(spec: InterferometerSpec) -> float:
     p = prob(spec.phi)
     lo, hi = prob(spec.phi - FD_STEP), prob(spec.phi + FD_STEP)
     curvature = abs(hi - 2.0 * p + lo)
-    if 2.0 * min(p, 1.0 - p) > curvature:
-        return _propagate(p, abs(hi - lo) / (2 * FD_STEP))
-    return FD_STEP / math.sqrt(2.0 * curvature) if curvature else math.inf
+    if 2.0 * min(p, 1.0 - p) <= curvature:
+        return FD_STEP / math.sqrt(2.0 * curvature) if curvature else math.inf
+    slope = abs(hi - lo)
+    if slope <= curvature:
+        return math.inf
+    return math.sqrt(p - p * p) / (slope / (2 * FD_STEP))  # 0 < P < 1 and slope > 0 here

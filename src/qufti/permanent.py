@@ -37,9 +37,10 @@ _BLOCK = 1024
 
 
 def _check_square(m: NDArray[np.complex128]) -> int:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    return m.shape[0]
+    shape = np.shape(m)  # a nested list has a shape too
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"matrix must be square, got shape {shape}")
+    return shape[0]
 
 
 def permanent_naive(m: NDArray[np.complex128]) -> complex:
@@ -131,14 +132,14 @@ def permanent_with_repeats(
 ) -> complex:
     """Permanent of the matrix with column k repeated col_multiplicities[k] times.
 
-    Multiplicities must sum to the dimension; all-ones reduces to
-    permanent_ryser on the original matrix.
+    Multiplicities are non-negative integers summing to the dimension;
+    all-ones reduces to permanent_ryser on the original matrix.
     """
     n = _check_square(m)
     mult = list(col_multiplicities)
-    if len(mult) != n or any(s < 0 for s in mult):
+    if len(mult) != n or not all(isinstance(s, (int, np.integer)) and s >= 0 for s in mult):
         raise ValueError(f"multiplicities must be {n} non-negative integers")
     if sum(mult) != n:
         raise ValueError(f"multiplicities sum to {sum(mult)}, expected {n}")
     cols = [k for k, s in enumerate(mult) for _ in range(s)]
-    return permanent_ryser(m.take(cols, axis=1))
+    return permanent_ryser(np.asarray(m).take(cols, axis=1))

@@ -20,6 +20,7 @@ from qufti import (
     dephased_sensitivity,
     noon_dephased_sensitivity,
     orc_photon_count,
+    phase_sensitivity_small_angle,
 )
 from qufti.cli import _BLOCK, main
 
@@ -150,10 +151,21 @@ def test_dephasing_at_double_roots_gives_their_limits(tmp_path):
     assert rows[6, 0.0][1] == 1 / 16
 
 
-def test_dephasing_rejects_zero_phi(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run(["dephasing", "--n-list", "4", "--phi", "0", "--out", str(tmp_path / "d.csv")])
-    assert exc.value.code == 2
+def test_dephasing_at_zero_phi_gives_noiseless_limits(tmp_path):
+    # phi = 0 is the P = 1 maximum of both devices: without noise the limits,
+    # under noise a stationary point, inf (as at phi = 2 pi / n)
+    out = tmp_path / "deph.csv"
+    assert run(["dephasing", "--n-list", "2", "3", "4", "--phi", "0", "--steps", "3",
+                "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    for n, chi, d, d_noon in rows:
+        n = int(n)
+        if float(chi) == 0.0:
+            assert float(d) == phase_sensitivity_small_angle(n)
+            assert float(d_noon) == 1 / orc_photon_count(n)
+        else:
+            assert float(d) == float(d_noon) == math.inf
 
 
 def test_distribution_json(tmp_path, capsys):
@@ -244,8 +256,6 @@ FLAG_ERRORS = [
     (["phase-scan", "--n", "4", "--steps", "1"], "--steps must be >= 2"),
     (["phase-scan", "--n", "4", "--phi-min", "1", "--phi-max", "1"], "--phi-max must exceed --phi-min"),
     (["sensitivity-scan", "--n-min", "5", "--n-max", "3"], "need --n-min <= --n-max"),
-    (["dephasing", "--n-list", "4", "--phi", "0"],
-     "--phi must be nonzero (sensitivity diverges at phi = 0)"),
     (["dephasing", "--n-list", "4", "--steps", "1"], "need --steps >= 2 and --chi-max >= 0"),
     (["dephasing", "--n-list", "4", "--chi-max", "-0.1"], "need --steps >= 2 and --chi-max >= 0"),
     (["phase-scan", "--n", "4", "--phi-min", "nan"], "--phi-min must be finite"),
@@ -394,7 +404,8 @@ def _verify_fields(text):
 
 def _distribution_fields(text):
     probabilities = [e["probability"] for e in json.loads(text)["entries"]]
-    return {"outcomes": str(len(probabilities)), "residual": f"{abs(sum(probabilities) - 1.0):.3e}"}
+    residual = abs(math.fsum(probabilities) - 1.0)
+    return {"outcomes": str(len(probabilities)), "residual": f"{residual:.3e}"}
 
 
 # each command's argv, and the summary fields its data file implies

@@ -323,6 +323,30 @@ def test_mask_sensitivity_at_stationary_points(n, phi):
     )
 
 
+# minima with P > 0, not roots: the odd-n gradient at pi / n, one mode's phase at pi
+NON_ROOT_MINIMA = [InterferometerSpec(n, math.pi / n) for n in range(3, 18, 2)]
+NON_ROOT_MINIMA.append(InterferometerSpec(3, math.pi, weights=(0.0, 1.0, 0.0)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    NON_ROOT_MINIMA,
+    ids=[f"n{s.n}_{'single' if s.weights else 'gradient'}" for s in NON_ROOT_MINIMA],
+)
+def test_mask_sensitivity_at_non_root_minimum_diverges(spec):
+    # the three permanents differ by rounding alone, which must not be read as a slope
+    assert sensitivity_for_mask(spec) == math.inf
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_mask_sensitivity_ten_steps_off_odd_n_minimum(n):
+    # ten steps away the slope is signal again, and the error is propagated
+    phi = math.pi / n + 1e-5
+    assert sensitivity_for_mask(InterferometerSpec(n, phi)) == pytest.approx(
+        dephased_sensitivity(n, phi, DephasingParams(0.0)), rel=1e-3
+    )
+
+
 def test_mask_sensitivity_rejects_n1():
     with pytest.raises(ValueError, match="n >= 2"):
         sensitivity_for_mask(InterferometerSpec(n=1, phi=0.3))

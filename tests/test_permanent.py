@@ -233,3 +233,22 @@ def test_with_repeats_matches_naive_expansion():
     mult = [2, 0, 1, 1]
     cols = [0, 0, 2, 3]
     assert abs(permanent_with_repeats(m, mult) - permanent_naive(m[:, cols])) < 1e-12
+
+
+def test_kernels_accept_nested_lists():
+    # a nested list gives the bits of the same matrix as an array
+    rows = [[1 + 2j, 3 - 1j, 0.5], [0.5j, 2.0, -1.0], [1.0, 1j, 2 - 1j]]
+    m = np.array(rows)
+    assert permanent_ryser(rows) == permanent_ryser(m)
+    assert permanent_naive(rows) == permanent_naive(m)
+    assert permanent_with_repeats(rows, [2, 0, 1]) == permanent_with_repeats(m, [2, 0, 1])
+    assert permanent_ryser([[1, 2], [3, 4]]) == permanent_naive([[1, 2], [3, 4]]) == 10
+    assert permanent_with_repeats(np.eye(2), np.array([1, 1])) == 1  # numpy integers count
+    with pytest.raises(ValueError, match="must be square"):
+        permanent_ryser([[1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize("mult", [[1.0, 1.0], [1.5, 0.5], ["1", "1"], [-1, 3]])
+def test_with_repeats_rejects_non_integer_multiplicities(mult):
+    with pytest.raises(ValueError, match="non-negative integers"):
+        permanent_with_repeats(np.eye(2), mult)

@@ -148,10 +148,31 @@ def cmd_dephasing(args: argparse.Namespace) -> tuple[int, str]:
     return 0, f"rows={_write_lines(args.out, rows()) - 1}"
 
 
+def _distribution_json(dist: metrology.OutcomeDistribution) -> Iterator[str]:
+    """The text of json.dumps(dist.to_json_dict(), indent=2), one entry per string.
+
+    json writes an indented document with its pure-Python encoder, several
+    times slower than this. Joined by newlines, the strings are that text for
+    any distribution of n >= 1 modes: every entry list and occupation is
+    non-empty. A float is written as json writes it: its repr, or NaN/Infinity.
+    """
+    yield f'{{\n  "n": {dist.n},\n  "entries": ['
+    last = len(dist.entries) - 1
+    for i, (occ, p) in enumerate(dist.entries):
+        counts = ",\n        ".join(map(str, occ))
+        prob = repr(p) if math.isfinite(p) else json.dumps(p)
+        comma = "," if i < last else ""
+        yield (
+            f'    {{\n      "occupation": [\n        {counts}\n      ],\n'
+            f'      "probability": {prob}\n    }}{comma}'
+        )
+    yield "  ]\n}"
+
+
 def cmd_distribution(args: argparse.Namespace) -> tuple[int, str]:
     spec = InterferometerSpec(n=args.n, phi=args.phi)
     dist = metrology.fock_output_distribution(spec)
-    _write_lines(args.out, [json.dumps(dist.to_json_dict(), indent=2)])
+    _write_lines(args.out, _distribution_json(dist))
     return 0, f"outcomes={len(dist.entries)} residual={abs(dist.total() - 1.0):.3e}"
 
 

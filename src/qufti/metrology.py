@@ -208,6 +208,7 @@ def fock_output_distribution(spec: InterferometerSpec) -> OutcomeDistribution:
             f"distribution enumeration limited to n <= {DISTRIBUTION_MODE_LIMIT}, got {n}"
         )
     u = compose_qufti(spec)
+    factorial = [math.factorial(s) for s in range(n + 1)]
     entries = []
     for placement in itertools.combinations_with_replacement(range(n), n):
         occ = [0] * n
@@ -216,7 +217,7 @@ def fock_output_distribution(spec: InterferometerSpec) -> OutcomeDistribution:
         amp = permanent_with_repeats(u, occ)
         norm = 1.0
         for s in occ:
-            norm *= math.factorial(s)
+            norm *= factorial[s]
         entries.append((tuple(occ), abs(amp) ** 2 / norm))
     return OutcomeDistribution(n=n, entries=entries)
 

@@ -35,6 +35,11 @@ KERNEL = "glynn"
 # Gray-code steps evaluated per vectorised block of the walk.
 _BLOCK = 1024
 
+# What a column adds to the row sums when its sign turns -1, then back to +1:
+# the complex values a Python -2 and 2 take in a product with A.
+_TURN = np.array([-2, 2], dtype=np.complex128).reshape(2, 1, 1)
+_TURN.setflags(write=False)
+
 
 def _check_square(m: NDArray[np.complex128]) -> int:
     shape = np.shape(m)  # a nested list has a shape too
@@ -109,20 +114,26 @@ def permanent_ryser(m: NDArray[np.complex128]) -> complex:
         )
     if n == 0:
         return 1 + 0j
-    a = np.asarray(m, dtype=np.complex128).T
+    # C order first: step 0's row sums then always add along a contiguous axis,
+    # whose rounding differs from a strided one, so the bits ignore m's layout
+    a = np.ascontiguousarray(m, dtype=np.complex128).T
     # column t turns -1 at row t, back to +1 at row n + t; row 2n is step 0's sums
-    signed_cols = np.concatenate([-2 * a, 2 * a, a.sum(axis=0)[np.newaxis]])
+    signed_cols = np.empty((2 * n + 1, n), dtype=np.complex128)
+    np.multiply(a, _TURN, out=signed_cols[:2 * n].reshape(2, n, n))
+    np.add.reduce(a, axis=0, out=signed_cols[2 * n])
     row_sums = np.zeros(n, dtype=np.complex128)
     total = 0j
     for start in range(0, 1 << (n - 1), _BLOCK):
         rows, signs = _gray_block(n, start)
         deltas = signed_cols.take(rows, axis=0)
         deltas[0] += row_sums
-        sums = deltas.cumsum(axis=0)
+        sums = np.add.accumulate(deltas, axis=0, out=deltas)
         row_sums = sums[-1]
-        terms = np.prod(sums, axis=1) * signs  # prod_k delta_k
+        # the ufunc reduce np.prod wraps, without its per-call dispatch
+        terms = np.multiply.reduce(sums, axis=1)
+        terms *= signs  # prod_k delta_k
         terms[0] += total
-        total = complex(terms.cumsum()[-1])
+        total = complex(np.add.accumulate(terms)[-1])
     scale = math.ldexp(1.0, 1 - n)
     return complex(total.real * scale, total.imag * scale)
 
@@ -141,5 +152,4 @@ def permanent_with_repeats(
         raise ValueError(f"multiplicities must be {n} non-negative integers")
     if sum(mult) != n:
         raise ValueError(f"multiplicities sum to {sum(mult)}, expected {n}")
-    cols = [k for k, s in enumerate(mult) for _ in range(s)]
-    return permanent_ryser(np.asarray(m).take(cols, axis=1))
+    return permanent_ryser(np.repeat(m, mult, axis=1))

@@ -16,8 +16,10 @@ import pytest
 
 from qufti import (
     DephasingParams,
+    InterferometerSpec,
     coincidence_probability,
     dephased_sensitivity,
+    fock_output_distribution,
     noon_dephased_sensitivity,
     orc_photon_count,
     phase_sensitivity_small_angle,
@@ -182,6 +184,16 @@ def test_distribution_json(tmp_path, capsys):
     assert match and float(match[1]) < 1e-9
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_distribution_json_bytes_match_json_dumps(tmp_path, n):
+    # the CLI writes the indented JSON entry by entry; json.dumps is the reference
+    out = tmp_path / "dist.json"
+    for phi in ("0", "-0.0", "0.7", "-2.2"):
+        assert run(["distribution", "--n", str(n), "--phi", phi, "--out", str(out)]) == 0
+        dist = fock_output_distribution(InterferometerSpec(n=n, phi=float(phi)))
+        assert out.read_bytes() == (json.dumps(dist.to_json_dict(), indent=2) + "\n").encode()
+
+
 def test_distribution_zero_phase(tmp_path):
     out = tmp_path / "dist.json"
     assert run(["distribution", "--n", "3", "--phi", "0", "--out", str(out)]) == 0
@@ -205,6 +217,10 @@ def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "ra.json", tmp_path / "rb.json"
     for out, threads in ((a, "1"), (b, "2")):
         run(["verify", "--n-max", "5", "--samples", "8", "--out", str(out), "--threads", threads])
+    assert a.read_bytes() == b.read_bytes()
+    a, b = tmp_path / "da.json", tmp_path / "db.json"
+    for out in (a, b):
+        run(["distribution", "--n", "5", "--phi", "0.7", "--out", str(out)])
     assert a.read_bytes() == b.read_bytes()
 
 

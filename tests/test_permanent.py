@@ -1,6 +1,7 @@
 """Permanent kernels against the permutation-expansion oracle."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -194,6 +195,20 @@ def test_ryser_cached_blocks_bit_identical_to_step_loop(n):
         assert_matches_ryser(value, m)
 
 
+@pytest.mark.parametrize("n", [4, 7, 8, 9, 12, 13])
+def test_ryser_bits_independent_of_memory_layout(n):
+    # step 0's row sums round differently along a strided axis than a contiguous one
+    rng = np.random.default_rng(3000 + n)
+    for _ in range(20):
+        m = random_unit_disk_matrix(rng, n)
+        expected = glynn_step_loop(m)
+        assert permanent_ryser(m) == expected
+        wide = np.empty((n, 2 * n), dtype=np.complex128)
+        wide[:, ::2] = m
+        for view in (np.asfortranarray(m), np.ascontiguousarray(m.T).T, wide[:, ::2]):
+            assert permanent_ryser(view) == expected
+
+
 @pytest.mark.parametrize("n", [14, 16])
 def test_ryser_against_product_form_in_mpmath(n):
     # the gradient permanent n^(1-n) prod_j (j e^{i n phi} + n - j) in 40 digits
@@ -210,6 +225,20 @@ def test_with_repeats_all_ones_multiplicity():
     rng = np.random.default_rng(11)
     m = random_unit_disk_matrix(rng, 5)
     assert permanent_with_repeats(m, [1] * 5) == permanent_ryser(m)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_with_repeats_bits_of_taken_columns(n):
+    # every outcome's multiplicities, in C and Fortran order: the bits of the
+    # kernel on the matrix with the repeated columns taken one by one
+    rng = np.random.default_rng(4000 + n)
+    m = random_unit_disk_matrix(rng, n)
+    for placement in itertools.combinations_with_replacement(range(n), n):
+        mult = [placement.count(k) for k in range(n)]
+        cols = [k for k, s in enumerate(mult) for _ in range(s)]
+        expected = permanent_ryser(np.ascontiguousarray(m).take(cols, axis=1))
+        assert permanent_with_repeats(m, mult) == expected
+        assert permanent_with_repeats(np.asfortranarray(m), mult) == expected
 
 
 def test_with_repeats_zero_row():

@@ -41,6 +41,8 @@ def _result(x):
 
 def _phase(n: int, phi: float | np.ndarray) -> float | np.ndarray:
     """n phi, or a ValueError naming the first phi at which it is not finite."""
+    if type(phi) is float and math.isfinite(n * phi):  # a float call skips numpy's 0-d cost
+        return n * phi
     phi = np.asarray(phi, dtype=float)
     with np.errstate(over="ignore"):
         x = n * phi
@@ -73,7 +75,7 @@ def permanent_closed_form(n: int, phi: float) -> complex:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    z = np.exp(1j * n * phi)
+    z = np.exp(1j * _phase(n, phi))
     result = 1 + 0j
     for j in range(1, n):
         result *= (j * z + (n - j)) / n
@@ -102,6 +104,22 @@ def coincidence_probability(
     return _result(acc)
 
 
+def _signal(n: int, phi, damping):
+    """P, |dP/dphi| and sin(n phi) from one phase and one list of factors; the
+    running product p is P, left to right as coincidence_probability takes it."""
+    x = _phase(n, phi)
+    sin = _libm(math.sin, x)
+    factors = _factors(n, _libm(math.cos, x) * damping)
+    suffix = [1.0] * n  # suffix[i] = product of factors[i:]
+    for i in range(n - 2, -1, -1):
+        suffix[i] = suffix[i + 1] * factors[i]
+    p, leave_one_out = 1.0, 0.0
+    for j in range(1, n):  # p * suffix[j] leaves out factors[j - 1]
+        leave_one_out = leave_one_out + (2 * j * (n - j) / (n * n)) * p * suffix[j]
+        p = p * factors[j - 1]
+    return p, n * np.abs(sin) * damping * leave_one_out, sin
+
+
 def probability_derivative(
     n: int, phi: float | np.ndarray, damping: float | np.ndarray = 1.0
 ) -> float | np.ndarray:
@@ -114,20 +132,7 @@ def probability_derivative(
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    x = _phase(n, phi)
-    factors = _factors(n, _libm(math.cos, x) * damping)
-    # prefix[i] * suffix[i] = product of all factors except factors[i]
-    m = len(factors)
-    prefix = [1.0] * (m + 1)
-    for i in range(m):
-        prefix[i + 1] = prefix[i] * factors[i]
-    suffix = [1.0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * factors[i]
-    leave_one_out = 0.0
-    for j in range(1, n):
-        leave_one_out = leave_one_out + (2 * j * (n - j) / (n * n)) * prefix[j - 1] * suffix[j]
-    return _result(n * np.abs(_libm(math.sin, x)) * damping * leave_one_out)
+    return _result(_signal(n, phi, damping)[1])
 
 
 @dataclass(frozen=True)

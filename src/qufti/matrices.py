@@ -40,6 +40,10 @@ class InterferometerSpec:
                 raise ValueError(f"got {len(self.weights)} weights, expected {self.n}")
             if not all(math.isfinite(w) for w in self.weights):
                 raise ValueError("weights must be finite")
+        # the largest phase phase_vector forms
+        big = self.n - 1 if self.weights is None else float(max(map(abs, self.weights)))
+        if not math.isfinite(big * self.phi):
+            raise ValueError(f"{big!r} * phi must be finite, got phi = {float(self.phi)!r}")
 
 
 def qft_matrix(n: int) -> NDArray[np.complex128]:

@@ -107,10 +107,9 @@ def _sensitivity(n, p, dp, sin, damping, at_maximum, root):
     noisy or not, diverges: inf.
     """
     noiseless = np.asarray(damping) == 1.0
-    # Python's max(v, 0.0); np.maximum would turn a -0.0 into 0.0
-    variance = np.where(0.0 > p - p * p, 0.0, p - p * p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = np.where(np.abs(sin) < STATIONARY_SIN_TOL, math.inf, np.sqrt(variance) / dp)
+    # P in [0, 1] keeps P - P^2 >= +0; a subnormal damping overflows the quotient to inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        delta = np.where(np.abs(sin) < STATIONARY_SIN_TOL, math.inf, np.sqrt(p - p * p) / dp)
     delta = np.where(noiseless & (p <= ROOT_TOL * root * root), 1.0 / (n * root), delta)
     return _result(np.where(noiseless & (1.0 - p <= ROOT_TOL), at_maximum, delta))
 
@@ -167,9 +166,7 @@ def dephased_sensitivity(
     if n < 2:
         raise ValueError(f"need n >= 2 for interference, got {n}")
     d = params.damping(n)
-    p = analytics.coincidence_probability(n, phi, d)
-    dp = analytics.probability_derivative(n, phi, d)
-    sin = _libm(math.sin, analytics._phase(n, phi))
+    p, dp, sin = analytics._signal(n, phi, d)
     root = math.prod(abs(n - 2 * j) / n for j in range(1, n) if 2 * j != n)
     return _sensitivity(n, p, dp, sin, d, phase_sensitivity_small_angle(n), root)
 

@@ -43,6 +43,11 @@ def test_closed_form_n3():
         assert abs(permanent_closed_form(3, phi) - expected) < 1e-13
 
 
+def test_closed_form_rejects_overflowing_phase():
+    with pytest.raises(ValueError, match=r"3 \* phi must be finite, got phi = 1e\+308"):
+        permanent_closed_form(3, 1e308)
+
+
 def test_conjecture_small_grid():
     report = conjecture_verify(6, 32)
     assert report.max_abs_error < 1e-10
@@ -200,6 +205,22 @@ def derivative_scalar_reference(n, phi, damping):
     for j in range(1, n):
         leave_one_out += (2 * j * (n - j) / (n * n)) * prefix[j - 1] * suffix[j]
     return n * abs(math.sin(n * phi)) * damping * leave_one_out
+
+
+def test_derivative_bits_match_leave_one_out_loop():
+    """dP/dphi keeps the bits of the prefix/suffix loop, float and array calls alike,
+    at every root pi k / n of sin(n phi), next to them and at random phases."""
+    rng = np.random.default_rng(41)
+    for n in range(1, 31):
+        roots = [math.pi * k / n for k in range(-2 * n, 2 * n + 1)]
+        offsets = [r + h for r in roots for h in (1e-12, -1e-9, 1e-6, -0.03)]
+        phis = roots + offsets + rng.uniform(-20.0, 20.0, 32).tolist()
+        arr = np.array(phis)
+        for damping in (1.0, 0.3, rng.uniform(0.0, 1.0, len(phis))):
+            ds = np.broadcast_to(damping, arr.shape).tolist()
+            expected = [derivative_scalar_reference(n, x, d) for x, d in zip(phis, ds)]
+            assert probability_derivative(n, arr, damping).tolist() == expected
+            assert [probability_derivative(n, x, d) for x, d in zip(phis, ds)] == expected
 
 
 def test_array_path_bit_identical_to_scalar_loop():

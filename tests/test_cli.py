@@ -252,6 +252,7 @@ LIBRARY_DOMAIN_ERRORS = [
     # the bad n comes after a good block: the rows written so far must not reach --out
     (["dephasing", "--n-list", "3", "1"], "need n >= 2 for interference, got 1"),
     (["phase-scan", "--n", "20", "--phi-max", "1e307"], "20 * phi must be finite, got phi = 9e+306"),
+    (["distribution", "--n", "3", "--phi", "1e308"], "2 * phi must be finite, got phi = 1e+308"),
 ]
 
 

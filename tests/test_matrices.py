@@ -127,6 +127,27 @@ def test_spec_rejects_nonfinite_phase():
         InterferometerSpec(n=2, phi=float("nan"))
 
 
+@pytest.mark.parametrize(
+    "n,phi,weights,message",
+    [
+        (3, 1e308, None, "2 * phi must be finite, got phi = 1e+308"),
+        (3, -1e308, None, "2 * phi must be finite, got phi = -1e+308"),
+        (2, 1e308, (0.5, -2.0), "2.0 * phi must be finite, got phi = 1e+308"),
+    ],
+    ids=["gradient", "gradient_negative_phi", "weights"],
+)
+def test_spec_rejects_overflowing_phase(n, phi, weights, message):
+    # phase_vector forms weight * phi; an overflow there would give NaN entries
+    with pytest.raises(ValueError) as exc:
+        InterferometerSpec(n=n, phi=phi, weights=weights)
+    assert str(exc.value) == message
+
+
+def test_spec_accepts_huge_phase_without_a_phase_weight():
+    for spec in (InterferometerSpec(n=1, phi=1e308), InterferometerSpec(2, 1e308, (0.0, -0.0))):
+        assert np.array_equal(phase_vector(spec), np.ones(spec.n))
+
+
 def test_compose_identity_at_zero_phase():
     for n in (2, 5, 16):
         u = compose_qufti(InterferometerSpec(n=n, phi=0.0))

@@ -161,6 +161,18 @@ def test_dephasing_rejects_nan_variance():
     assert DephasingParams(math.inf).damping(4) == 0.0
 
 
+@pytest.mark.parametrize(
+    "sensitivity,n,chi_sq",
+    [(dephased_sensitivity, 7, 29.06), (noon_dephased_sensitivity, 22, 1.715**2)],
+    ids=["qufti", "noon"],
+)
+def test_subnormal_damping_gives_inf_without_warning(sensitivity, n, chi_sq):
+    # the damping is subnormal: sqrt(P - P^2) / dP overflows to inf, and no
+    # RuntimeWarning (an error under pytest) escapes
+    assert 0.0 < DephasingParams(chi_sq).damping(n) < 2.3e-308
+    assert sensitivity(n, 0.7, DephasingParams(chi_sq)) == math.inf
+
+
 def test_dephasing_strong_noise_limit():
     # damping -> 0 leaves the phase-independent product of b coefficients
     n = 4

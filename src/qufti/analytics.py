@@ -41,8 +41,6 @@ def _result(x):
 
 def _phase(n: int, phi: float | np.ndarray) -> float | np.ndarray:
     """n phi, or a ValueError naming the first phi at which it is not finite."""
-    if type(phi) is float and math.isfinite(n * phi):  # a float call skips numpy's 0-d cost
-        return n * phi
     phi = np.asarray(phi, dtype=float)
     with np.errstate(over="ignore"):
         x = n * phi
@@ -96,24 +94,20 @@ def coincidence_probability(
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    c = _libm(math.cos, _phase(n, phi)) * damping
-    # left to right, one factor at a time: the order of the scalar product
-    acc = np.ones(np.shape(c))
-    for f in _factors(n, c):
-        acc = acc * f
-    return _result(acc)
+    return _result(_signal(n, phi, damping)[0])
 
 
 def _signal(n: int, phi, damping):
-    """P, |dP/dphi| and sin(n phi) from one phase and one list of factors; the
-    running product p is P, left to right as coincidence_probability takes it."""
+    """P, |dP/dphi| and sin(n phi) from one phase and one factor list; an array
+    call starts the running product p = P from ones, so n = 1 keeps its shape."""
     x = _phase(n, phi)
     sin = _libm(math.sin, x)
-    factors = _factors(n, _libm(math.cos, x) * damping)
+    c = _libm(math.cos, x) * damping
+    factors = _factors(n, c)
     suffix = [1.0] * n  # suffix[i] = product of factors[i:]
     for i in range(n - 2, -1, -1):
         suffix[i] = suffix[i + 1] * factors[i]
-    p, leave_one_out = 1.0, 0.0
+    p, leave_one_out = (np.ones(np.shape(c)) if np.ndim(c) else 1.0), 0.0
     for j in range(1, n):  # p * suffix[j] leaves out factors[j - 1]
         leave_one_out = leave_one_out + (2 * j * (n - j) / (n * n)) * p * suffix[j]
         p = p * factors[j - 1]

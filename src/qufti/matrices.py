@@ -42,7 +42,7 @@ class InterferometerSpec:
                 raise ValueError("weights must be finite")
         # the largest phase phase_vector forms
         big = self.n - 1 if self.weights is None else float(max(map(abs, self.weights)))
-        if not math.isfinite(big * self.phi):
+        if not math.isfinite(big * float(self.phi)):  # in floats: numpy warns on overflow
             raise ValueError(f"{big!r} * phi must be finite, got phi = {float(self.phi)!r}")
 
 

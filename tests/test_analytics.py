@@ -207,27 +207,13 @@ def derivative_scalar_reference(n, phi, damping):
     return n * abs(math.sin(n * phi)) * damping * leave_one_out
 
 
-def test_derivative_bits_match_leave_one_out_loop():
-    """dP/dphi keeps the bits of the prefix/suffix loop, float and array calls alike,
-    at every root pi k / n of sin(n phi), next to them and at random phases."""
-    rng = np.random.default_rng(41)
-    for n in range(1, 31):
-        roots = [math.pi * k / n for k in range(-2 * n, 2 * n + 1)]
-        offsets = [r + h for r in roots for h in (1e-12, -1e-9, 1e-6, -0.03)]
-        phis = roots + offsets + rng.uniform(-20.0, 20.0, 32).tolist()
-        arr = np.array(phis)
-        for damping in (1.0, 0.3, rng.uniform(0.0, 1.0, len(phis))):
-            ds = np.broadcast_to(damping, arr.shape).tolist()
-            expected = [derivative_scalar_reference(n, x, d) for x, d in zip(phis, ds)]
-            assert probability_derivative(n, arr, damping).tolist() == expected
-            assert [probability_derivative(n, x, d) for x, d in zip(phis, ds)] == expected
-
-
 def test_array_path_bit_identical_to_scalar_loop():
     rng = np.random.default_rng(29)
     grid = rng.uniform(-20.0, 20.0, 64).tolist()
     for n in range(1, 41):
-        phis = grid + [math.pi * k / n for k in range(-n, 2 * n + 1)]
+        # every root pi k / n of sin(n phi), and phases just beside them
+        roots = [math.pi * k / n for k in range(-2 * n, 2 * n + 1)]
+        phis = grid + roots + [r + h for r in roots for h in (1e-12, -1e-9, 1e-6, -0.03)]
         arr = np.array(phis)
         dampings = [1.0, 0.3, rng.uniform(0.0, 1.0, len(phis))]
         for damping in dampings:
@@ -237,6 +223,9 @@ def test_array_path_bit_identical_to_scalar_loop():
             assert p.shape == dp.shape == arr.shape
             assert p.tolist() == [probability_scalar_reference(n, x, d) for x, d in zip(phis, ds)]
             assert dp.tolist() == [derivative_scalar_reference(n, x, d) for x, d in zip(phis, ds)]
+        # float calls, one element of the array damping at a time
+        assert [coincidence_probability(n, x, d) for x, d in zip(phis, ds)] == p.tolist()
+        assert [probability_derivative(n, x, d) for x, d in zip(phis, ds)] == dp.tolist()
         # phi down a column, damping along a row: the product broadcasts to a table
         row = np.array([1.0, 0.5, 0.0])
         table = coincidence_probability(n, arr[:, None], row)

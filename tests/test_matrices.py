@@ -132,9 +132,10 @@ def test_spec_rejects_nonfinite_phase():
     [
         (3, 1e308, None, "2 * phi must be finite, got phi = 1e+308"),
         (3, -1e308, None, "2 * phi must be finite, got phi = -1e+308"),
+        (3, np.float64(1e308), None, "2 * phi must be finite, got phi = 1e+308"),
         (2, 1e308, (0.5, -2.0), "2.0 * phi must be finite, got phi = 1e+308"),
     ],
-    ids=["gradient", "gradient_negative_phi", "weights"],
+    ids=["gradient", "gradient_negative_phi", "gradient_numpy_phi", "weights"],
 )
 def test_spec_rejects_overflowing_phase(n, phi, weights, message):
     # phase_vector forms weight * phi; an overflow there would give NaN entries

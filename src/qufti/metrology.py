@@ -16,32 +16,29 @@ as math.inf rather than raised, so sweep outputs stay rectangular. The
 sweep functions take phi and the noise variance as floats or as ndarrays
 that broadcast together, and give each element the bits of its float call.
 For phase weights other than the gradient there is no closed form:
-sensitivity_for_mask propagates the error of exact permanents of the
-composed unitary at the spec's own phi.
+sensitivity_for_mask propagates the error of the exact permanent of the
+composed unitary at the spec's own phi, and of its exact phi-derivatives.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytics
 from .analytics import _libm, _result
 from .exceptions import SizeLimitError
-from .matrices import InterferometerSpec, compose_qufti
-from .permanent import permanent_ryser, permanent_with_repeats
+from .matrices import InterferometerSpec, _qft_pair, compose_qufti
+from .permanent import _walk, permanent_with_repeats
 
 # Noiseless P this close to a double root (0 or 1, relative) takes the root's limit.
 ROOT_TOL = 1e-9
 
 # |sin(n phi)| below this counts as an interior stationary point.
 STATIONARY_SIN_TOL = 1e-12
-
-# Central finite-difference step of sensitivity_for_mask, the one numeric derivative.
-FD_STEP = 1e-6
 
 # Outcome enumeration guard: C(2n-1, n) outcomes, each needing a permanent.
 DISTRIBUTION_MODE_LIMIT = 9
@@ -222,31 +219,29 @@ def fock_output_distribution(spec: InterferometerSpec) -> OutcomeDistribution:
 def sensitivity_for_mask(spec: InterferometerSpec) -> float:
     """Sensitivity of the device spec describes at its phase spec.phi, fully numeric.
 
-    P comes from the exact permanent of the composed unitary at phi and
-    phi +- FD_STEP, dP/dphi from their central difference, so this works
-    for weights with no closed form; weights[0] is subtracted from every
-    weight first, as a global phase leaves P unchanged. The module's rule
-    is read off the three values, with P'' their second difference: where
-    2 min(P, 1 - P) <= |P''|, P is within one step of a double root (P = 1
-    at every spec's phi = 0, P = 0 at the even-n gradient's pi / n), so the
-    limit FD_STEP / sqrt(2 |P''|); where |P(phi + h) - P(phi - h)| <= |P''|,
-    within half a step of any other stationary point (the odd-n gradient's
-    pi / n), inf. The cost is three exact permanents, under the kernel's guard.
+    One Glynn walk over U = V D V+, U' = V D diag(i w) V+ and U''/2 gives Per, Per', Per''/2,
+    so P = |Per|^2, P' = 2 Re(conj(Per) Per') and P'' = 4 Re(conj(Per) Per''/2) + 2 |Per'|^2,
+    exactly; the module's rule takes root^2 = 2 |P''| / n^2 and n P' / |P''| for sin(n phi).
+    The weights are shifted by -weights[0] (a global phase leaves P unchanged) and scaled
+    by 2^-e to span [n/2, n), exactly: delta_phi(w, phi) = delta_phi(w / 2^e, 2^e phi) / 2^e.
     """
-    if spec.n < 2:
-        raise ValueError(f"need n >= 2 for interference, got {spec.n}")
-    if spec.weights is not None:
-        spec = replace(spec, weights=tuple(w - spec.weights[0] for w in spec.weights))
-
-    def prob(phi: float) -> float:
-        return abs(permanent_ryser(compose_qufti(replace(spec, phi=phi)))) ** 2
-
-    p = prob(spec.phi)
-    lo, hi = prob(spec.phi - FD_STEP), prob(spec.phi + FD_STEP)
-    curvature = abs(hi - 2.0 * p + lo)
-    if 2.0 * min(p, 1.0 - p) <= curvature:
-        return FD_STEP / math.sqrt(2.0 * curvature) if curvature else math.inf
-    slope = abs(hi - lo)
-    if slope <= curvature:
-        return math.inf
-    return math.sqrt(p - p * p) / (slope / (2 * FD_STEP))  # 0 < P < 1 and slope > 0 here
+    n, phi = spec.n, float(spec.phi)  # Python floats: numpy scalars warn on overflow
+    if n < 2:
+        raise ValueError(f"need n >= 2 for interference, got {n}")
+    w = range(n) if spec.weights is None else list(map(float, spec.weights))
+    spread = max(abs(x - w[0]) for x in w)
+    if not math.isfinite(spread * phi):
+        raise ValueError(f"weight spread {spread!r} * phi must be finite, got phi = {phi!r}")
+    e = math.frexp(spread / n)[1]
+    w, phi = np.array([math.ldexp(x - w[0], -e) for x in w]), math.ldexp(phi, e)
+    v, vc = _qft_pair(n)
+    d = np.exp(1j * (w * phi)) * np.array([np.ones(n), 1j * w, -0.5 * w * w])
+    jet = (v * d[:, None]) @ vc.T  # U, U' and U''/2 = V D diag(1, i w, -w^2 / 2) V+
+    per, d1, d2 = _walk(jet.transpose(2, 0, 1).reshape(n, 3 * n)) * math.ldexp(1.0, 1 - n)
+    dp = 2.0 * (per.conjugate() * d1).real
+    d2p = 4.0 * (per.conjugate() * d2).real + 2.0 * abs(d1) ** 2
+    # P'' = 0 gives the limit inf, and n P' / |P''| is +-inf, or nan where P is constant
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root, sin = np.sqrt(2.0 * abs(d2p)) / n, n * dp / abs(d2p)
+        delta = _sensitivity(n, abs(per) ** 2, abs(dp), sin, 1.0, 1 / (n * root), root)
+        return float(np.ldexp(delta, -e))

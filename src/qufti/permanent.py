@@ -8,7 +8,8 @@ amplitudes for bunched Fock outcomes.
 Glynn's formula sums 2^(n-1) signed products where Ryser's
 inclusion-exclusion sums 2^n - 1, so the walk has half the steps. The
 production kernel keeps the name permanent_ryser, which callers and the
-benchmark's trace key on.
+benchmark's trace key on. The same walk takes a matrix polynomial to any
+order in t (Taylor mode), for a permanent's exact derivatives along a path.
 
 The Gray-code summation order is fixed, so results are bit-reproducible
 run-to-run on the same platform.
@@ -92,36 +93,23 @@ def _gray_block(n: int, start: int) -> tuple[NDArray[np.intp], NDArray[np.float6
     return rows, signs
 
 
-def permanent_ryser(m: NDArray[np.complex128]) -> complex:
-    """Permanent via Glynn's formula (Balasubramanian-Bax-Franklin-Glynn).
+def _walk(a: NDArray[np.complex128]) -> np.complex128 | NDArray[np.complex128]:
+    """2^(n-1) Per(A_0 + t A_1 + ... + t^(k-1) A_(k-1)) to order t^(k-1), as k coefficients
+    (a scalar for k = 1); row t of the (n, k n) table a holds column t of each A_m in turn.
 
-    Per(A) = 2^(1-n) sum over sign vectors delta in {+1, -1}^n with
-    delta_n = +1 of (prod_k delta_k) prod_i sum_j delta_j A[i,j]; the empty
-    permanent is 1. Sign vectors are visited in Gray-code order, 2^(n-1)
-    steps, so each step updates the row sums by -2 or +2 times a single
-    column. The walk runs in blocks of _BLOCK steps; both running sums are
-    sequential cumsums carried across blocks, so the adds are those of a
-    step loop.
-
-    The name is Ryser's, whose formula this kernel evaluated before: the
-    public API, RYSER_DIM_LIMIT and the benchmark's trace and per-layer
-    metrics key on it, so it stays until those move together.
+    Sign vectors are visited in Gray-code order, 2^(n-1) steps, so each step adds -2 or +2
+    times one column of every A_m to the row sums. The walk runs in blocks of _BLOCK steps;
+    both running sums are sequential cumsums carried across blocks, so the adds are those of
+    a step loop; for k > 1 a truncated product rule multiplies the row sums' polynomials.
     """
-    n = _check_square(m)
+    n, width = a.shape  # width = k n
     if n > RYSER_DIM_LIMIT:
-        raise SizeLimitError(
-            f"exact permanent limited to dim <= {RYSER_DIM_LIMIT}, got {n}"
-        )
-    if n == 0:
-        return 1 + 0j
-    # C order first: step 0's row sums then always add along a contiguous axis,
-    # whose rounding differs from a strided one, so the bits ignore m's layout
-    a = np.ascontiguousarray(m, dtype=np.complex128).T
+        raise SizeLimitError(f"exact permanent limited to dim <= {RYSER_DIM_LIMIT}, got {n}")
     # column t turns -1 at row t, back to +1 at row n + t; row 2n is step 0's sums
-    signed_cols = np.empty((2 * n + 1, n), dtype=np.complex128)
-    np.multiply(a, _TURN, out=signed_cols[:2 * n].reshape(2, n, n))
+    signed_cols = np.empty((2 * n + 1, width), dtype=np.complex128)
+    np.multiply(a, _TURN, out=signed_cols[:2 * n].reshape(2, n, width))
     np.add.reduce(a, axis=0, out=signed_cols[2 * n])
-    row_sums = np.zeros(n, dtype=np.complex128)
+    row_sums = np.zeros(width, dtype=np.complex128)
     total = 0j
     for start in range(0, 1 << (n - 1), _BLOCK):
         rows, signs = _gray_block(n, start)
@@ -129,11 +117,38 @@ def permanent_ryser(m: NDArray[np.complex128]) -> complex:
         deltas[0] += row_sums
         sums = np.add.accumulate(deltas, axis=0, out=deltas)
         row_sums = sums[-1]
-        # the ufunc reduce np.prod wraps, without its per-call dispatch
-        terms = np.multiply.reduce(sums, axis=1)
-        terms *= signs  # prod_k delta_k
+        if width == n:
+            # the ufunc reduce np.prod wraps, without its per-call dispatch
+            terms = np.multiply.reduce(sums, axis=1)
+            terms *= signs  # prod_k delta_k
+        else:
+            s = sums.reshape(-1, width // n, n).T  # s[i, m]: row sum i's t^m coefficients
+            p = s[0] * signs
+            for i in range(1, n):
+                for m in range(len(p) - 1, -1, -1):  # lower orders are still the old ones
+                    p[m] *= s[i, 0]
+                    for j in range(m):
+                        p[m] += p[j] * s[i, m - j]
+            terms = p.T
         terms[0] += total
-        total = complex(np.add.accumulate(terms)[-1])
+        total = np.add.accumulate(terms)[-1]
+    return total
+
+
+def permanent_ryser(m: NDArray[np.complex128]) -> complex:
+    """Permanent via Glynn's formula (Balasubramanian-Bax-Franklin-Glynn).
+
+    Per(A) = 2^(1-n) sum over sign vectors delta in {+1, -1}^n with
+    delta_n = +1 of (prod_k delta_k) prod_i sum_j delta_j A[i,j]; the empty
+    permanent is 1. The sum is the Gray-code walk's for k = 1; the name is
+    Ryser's, whose formula this kernel evaluated before (see the module note).
+    """
+    n = _check_square(m)
+    if n == 0:
+        return 1 + 0j
+    # C order first: step 0's row sums then always add along a contiguous axis,
+    # whose rounding differs from a strided one, so the bits ignore m's layout
+    total = complex(_walk(np.ascontiguousarray(m, dtype=np.complex128).T))
     scale = math.ldexp(1.0, 1 - n)
     return complex(total.real * scale, total.imag * scale)
 

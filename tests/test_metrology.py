@@ -1,5 +1,6 @@
 """Sensitivity, baselines, efficiency, dephasing, output-distribution oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -302,7 +303,7 @@ def test_distribution_size_guard():
 def test_mask_sensitivity_gradient_consistency():
     spec = InterferometerSpec(n=4, phi=0.05)
     assert sensitivity_for_mask(spec) == pytest.approx(
-        dephased_sensitivity(4, 0.05, DephasingParams(0.0)), rel=1e-4
+        dephased_sensitivity(4, 0.05, DephasingParams(0.0)), rel=1e-9
     )
 
 
@@ -310,7 +311,7 @@ def test_mask_sensitivity_gradient_consistency():
 def test_mask_sensitivity_beyond_distribution_limit(n):
     phi = 0.05 / n
     assert sensitivity_for_mask(InterferometerSpec(n=n, phi=phi)) == pytest.approx(
-        dephased_sensitivity(n, phi, DephasingParams(0.0)), rel=1e-6
+        dephased_sensitivity(n, phi, DephasingParams(0.0)), rel=1e-9
     )
 
 
@@ -331,7 +332,7 @@ def _stationary_points():
 def test_mask_sensitivity_at_stationary_points(n, phi):
     # P = 1 maxima and the P = 0 minima of even n: propagation is 0/0 there
     assert sensitivity_for_mask(InterferometerSpec(n=n, phi=phi)) == pytest.approx(
-        dephased_sensitivity(n, phi, DephasingParams(0.0)), rel=1e-3
+        dephased_sensitivity(n, phi, DephasingParams(0.0)), rel=1e-9
     )
 
 
@@ -346,16 +347,16 @@ NON_ROOT_MINIMA.append(InterferometerSpec(3, math.pi, weights=(0.0, 1.0, 0.0)))
     ids=[f"n{s.n}_{'single' if s.weights else 'gradient'}" for s in NON_ROOT_MINIMA],
 )
 def test_mask_sensitivity_at_non_root_minimum_diverges(spec):
-    # the three permanents differ by rounding alone, which must not be read as a slope
+    # P' is rounding alone there, which must not be read as a slope
     assert sensitivity_for_mask(spec) == math.inf
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_mask_sensitivity_ten_steps_off_odd_n_minimum(n):
-    # ten steps away the slope is signal again, and the error is propagated
+    # 1e-5 away the slope is signal again, and the error is propagated
     phi = math.pi / n + 1e-5
     assert sensitivity_for_mask(InterferometerSpec(n, phi)) == pytest.approx(
-        dephased_sensitivity(n, phi, DephasingParams(0.0)), rel=1e-3
+        dephased_sensitivity(n, phi, DephasingParams(0.0)), rel=1e-9
     )
 
 
@@ -392,7 +393,7 @@ def test_custom_mask_gradient_weights_match_gradient():
     # weights (0, 1, 2, 3) reproduce the linear gradient
     spec = InterferometerSpec(n=4, phi=0.05, weights=(0.0, 1.0, 2.0, 3.0))
     assert sensitivity_for_mask(spec) == pytest.approx(
-        dephased_sensitivity(4, 0.05, DephasingParams(0.0)), rel=1e-4
+        dephased_sensitivity(4, 0.05, DephasingParams(0.0)), rel=1e-9
     )
 
 
@@ -519,10 +520,10 @@ def test_sensitivity_matches_mpmath_near_double_roots():
 
 @pytest.mark.parametrize("n", [18, 20])
 def test_mask_sensitivity_large_n_away_from_roots(n):
-    # P is 7.6e-13 and 3.4e-14 here: small, yet many steps from the P = 0 minimum at pi / n
+    # P is 7.6e-13 and 3.4e-14 here: small, yet far from the P = 0 minimum at pi / n
     phi = 0.9 * math.pi / n
     assert sensitivity_for_mask(InterferometerSpec(n=n, phi=phi)) == pytest.approx(
-        dephased_sensitivity(n, phi, DephasingParams(0.0)), rel=1e-3
+        dephased_sensitivity(n, phi, DephasingParams(0.0)), rel=1e-9
     )
 
 
@@ -531,3 +532,54 @@ def test_mask_weights_are_free_of_a_global_phase():
     assert sensitivity_for_mask(InterferometerSpec(n=3, phi=0.4, weights=(1.0, 1.0, 1.0))) == math.inf
     shifted = sensitivity_for_mask(InterferometerSpec(n=3, phi=0.4, weights=(2.5, 3.5, 4.5)))
     assert shifted == sensitivity_for_mask(InterferometerSpec(n=3, phi=0.4, weights=(0.0, 1.0, 2.0)))
+
+
+def _mp_probability(mpmath, n, weights, phi):
+    """|Per U|^2 of U = V D V+ by the sum over permutations, in mpmath."""
+    v = [[mpmath.expj(-2 * mpmath.pi * j * k / n) / mpmath.sqrt(n) for k in range(1, n + 1)]
+         for j in range(1, n + 1)]
+    d = [mpmath.expj(w * phi) for w in weights]
+    u = [[mpmath.fsum(v[i][l] * d[l] * mpmath.conj(v[k][l]) for l in range(n)) for k in range(n)]
+         for i in range(n)]
+    per = mpmath.fsum(
+        mpmath.fprod(u[i][j] for i, j in enumerate(perm)) for perm in itertools.permutations(range(n))
+    )
+    return abs(per) ** 2
+
+
+MPMATH_MASKS = [
+    (n, tuple(np.random.default_rng(n).uniform(-2.0, 2.0, n).tolist()), 0.3 + 0.4 * n)
+    for n in range(2, 6)
+] + [(n, tuple(float(j == 1) for j in range(n)), 0.9) for n in range(2, 6)]
+
+
+@pytest.mark.parametrize(
+    "n,weights,phi", MPMATH_MASKS, ids=[f"n{n}_{'e1' if phi == 0.9 else 'random'}" for n, _, phi in MPMATH_MASKS]
+)
+def test_mask_sensitivity_matches_mpmath_permutation_sum(n, weights, phi):
+    # P from the permutation sum and P' from mpmath.diff, both in 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        p = _mp_probability(mpmath, n, weights, mpmath.mpf(phi))
+        dp = mpmath.diff(lambda x: _mp_probability(mpmath, n, weights, x), mpmath.mpf(phi))
+        ref = float(mpmath.sqrt(p - p * p) / abs(dp))
+    assert sensitivity_for_mask(InterferometerSpec(n, phi, weights)) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cast", [float, np.float64])
+def test_mask_weight_spread_overflow_names_the_callers_values(cast):
+    # weights[1] - weights[0] = 2e300 times phi overflows, though each weight times phi does not
+    spec = InterferometerSpec(3, cast(1e8), tuple(map(cast, (-1e300, 1e300, 0.0))))
+    with pytest.raises(ValueError, match=r"weight spread 2e\+300 \* phi must be finite, got phi = 100000000\.0$"):
+        sensitivity_for_mask(spec)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mask_weights_rescale_exactly():
+    # delta_phi(w, phi) = delta_phi(w / s, s phi) / s: 1e200 times the single-mode mask near phi = 0
+    huge = sensitivity_for_mask(InterferometerSpec(3, 1e-300, (0.0, 1e200, 0.0)))
+    unit = sensitivity_for_mask(InterferometerSpec(3, 1e-100, (0.0, 1.0, 0.0)))
+    assert huge == pytest.approx(unit / 1e200, rel=1e-12)
+    tiny = sensitivity_for_mask(InterferometerSpec(3, 0.9e10, (0.0, 1e-10, 0.0)))
+    assert tiny == pytest.approx(1e10 * sensitivity_for_mask(InterferometerSpec(3, 0.9, (0.0, 1.0, 0.0))), rel=1e-12)

@@ -17,7 +17,7 @@ from qufti import (
     permanent_ryser,
     permanent_with_repeats,
 )
-from qufti.permanent import _gray_block
+from qufti.permanent import _gray_block, _walk
 
 
 def random_unit_disk_matrix(rng, n):
@@ -219,6 +219,22 @@ def test_ryser_against_product_form_in_mpmath(n):
             exact = mpmath.mpf(n) ** (1 - n) * mpmath.fprod(j * z + n - j for j in range(1, n))
             value = permanent_ryser(compose_qufti(InterferometerSpec(n=n, phi=phi)))
             assert abs(mpmath.mpc(value) - exact) < 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_walk_jet_matches_permutation_sum_of_truncated_polynomials(n):
+    # Per(A0 + t A1 + t^2 A2) to order t^2: each permutation's product of entry polynomials
+    rng = np.random.default_rng(40 + n)
+    jet = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+    expected = np.zeros(3, dtype=complex)
+    for perm in itertools.permutations(range(n)):
+        poly = np.array([1.0 + 0j])
+        for i, j in enumerate(perm):
+            poly = np.polynomial.polynomial.polymul(poly, jet[:, i, j])[:3]
+        expected += poly
+    got = _walk(jet.transpose(2, 0, 1).reshape(n, 3 * n)) * math.ldexp(1.0, 1 - n)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+    assert got[0] == pytest.approx(permanent_ryser(jet[0]), rel=1e-14, abs=1e-14)
 
 
 def test_with_repeats_all_ones_multiplicity():

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import SizeLimitError
 from .matrices import InterferometerSpec, compose_qufti
-from .permanent import RYSER_DIM_LIMIT, permanent_ryser
+from .permanent import RYSER_DIM_LIMIT, SizeLimitError, permanent_ryser
 
 
 def _libm(f, x):
@@ -92,14 +91,14 @@ def coincidence_probability(
     phi and damping may be floats or ndarrays that broadcast together; an
     array gives an array, element for element the bits of the float call.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
     return _result(_signal(n, phi, damping)[0])
 
 
 def _signal(n: int, phi, damping):
     """P, |dP/dphi| and sin(n phi) from one phase and one factor list; an array
     call starts the running product p = P from ones, so n = 1 keeps its shape."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
     x = _phase(n, phi)
     sin = _libm(math.sin, x)
     c = _libm(math.cos, x) * damping
@@ -124,8 +123,6 @@ def probability_derivative(
     scales the cosine term as in coincidence_probability; phi and damping
     broadcast as there.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
     return _result(_signal(n, phi, damping)[1])
 
 

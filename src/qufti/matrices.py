@@ -33,8 +33,6 @@ class InterferometerSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"mode count must be >= 1, got {self.n}")
-        if not math.isfinite(self.phi):
-            raise ValueError("phases must be finite")
         if self.weights is not None:
             if len(self.weights) != self.n:
                 raise ValueError(f"got {len(self.weights)} weights, expected {self.n}")

@@ -30,9 +30,8 @@ import numpy as np
 
 from . import analytics
 from .analytics import _libm, _result
-from .exceptions import SizeLimitError
 from .matrices import InterferometerSpec, _qft_pair, compose_qufti
-from .permanent import _walk, permanent_with_repeats
+from .permanent import SizeLimitError, _walk, permanent_with_repeats
 
 # Noiseless P this close to a double root (0 or 1, relative) takes the root's limit.
 ROOT_TOL = 1e-9
@@ -160,12 +159,11 @@ def dephased_sensitivity(
     at cos(n phi) = -1 the j = n/2 factor of even n vanishes, a P = 0 minimum.
     For odd n, P = prod_j ((n - 2j) / n)^2 > 0 there: a divergence, inf.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2 for interference, got {n}")
+    at_maximum = phase_sensitivity_small_angle(n)  # rejects n < 2
     d = params.damping(n)
     p, dp, sin = analytics._signal(n, phi, d)
     root = math.prod(abs(n - 2 * j) / n for j in range(1, n) if 2 * j != n)
-    return _sensitivity(n, p, dp, sin, d, phase_sensitivity_small_angle(n), root)
+    return _sensitivity(n, p, dp, sin, d, at_maximum, root)
 
 
 def noon_dephased_sensitivity(
@@ -237,7 +235,7 @@ def sensitivity_for_mask(spec: InterferometerSpec) -> float:
     v, vc = _qft_pair(n)
     d = np.exp(1j * (w * phi)) * np.array([np.ones(n), 1j * w, -0.5 * w * w])
     jet = (v * d[:, None]) @ vc.T  # U, U' and U''/2 = V D diag(1, i w, -w^2 / 2) V+
-    per, d1, d2 = _walk(jet.transpose(2, 0, 1).reshape(n, 3 * n)) * math.ldexp(1.0, 1 - n)
+    per, d1, d2 = _walk(jet)
     dp = 2.0 * (per.conjugate() * d1).real
     d2p = 4.0 * (per.conjugate() * d2).real + 2.0 * abs(d1) ** 2
     # P'' = 0 gives the limit inf, and n P' / |P''| is +-inf, or nan where P is constant

@@ -11,8 +11,10 @@ production kernel keeps the name permanent_ryser, which callers and the
 benchmark's trace key on. The same walk takes a matrix polynomial to any
 order in t (Taylor mode), for a permanent's exact derivatives along a path.
 
-The Gray-code summation order is fixed, so results are bit-reproducible
-run-to-run on the same platform.
+The walk returns Per itself: the cached step signs carry Glynn's 2^(1-n),
+a power of two per term, exact in the normal float range. The Gray-code
+summation order is fixed, so results are bit-reproducible run-to-run on
+the same platform.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .exceptions import SizeLimitError
+
+class SizeLimitError(ValueError):
+    """Requested problem size exceeds a configured guard."""
+
 
 # Size guards; tune for the machine at hand, they are not algorithmic limits.
 NAIVE_DIM_LIMIT = 10
@@ -77,39 +82,43 @@ def _gray_block(n: int, start: int) -> tuple[NDArray[np.intp], NDArray[np.float6
     For each step: the row of [-2 A^T; 2 A^T; sum of A's columns] it adds to
     the row sums (the sign of column t turning -1 is row t, turning back +1
     is row n + t, and step 0, all signs +1, is row 2n) and the sign
-    prod_k delta_k of its sign vector. A block depends on (n, start) alone,
-    so it is cached: every walk up to n = 11 is one block, and repeated
-    permanents of one size, one per outcome or per phi, skip rebuilding it.
-    The cache keeps at most 32 blocks of 16 KiB.
+    prod_k delta_k of its sign vector, times 2^(1-n). A block depends on
+    (n, start) alone, so it is cached: every walk up to n = 11 is one block,
+    and repeated permanents of one size, one per outcome or per phi, skip
+    rebuilding it. The cache keeps at most 32 blocks of 16 KiB.
     """
     step = np.arange(start, min(start + _BLOCK, 1 << (n - 1)))
     # Step k >= 1 flips the bit of k's lowest set bit; frexp(2^t) is exact.
     flipped = np.frexp(step & -step)[1] - 1
     back = ((step ^ (step >> 1)) >> np.maximum(flipped, 0)) & 1 == 0
     rows = np.where(step == 0, 2 * n, flipped + n * back)
-    signs = np.where(step & 1, -1.0, 1.0)
+    signs = np.where(step & 1, -1.0, 1.0) * math.ldexp(1.0, 1 - n)
     rows.setflags(write=False)
     signs.setflags(write=False)
     return rows, signs
 
 
 def _walk(a: NDArray[np.complex128]) -> np.complex128 | NDArray[np.complex128]:
-    """2^(n-1) Per(A_0 + t A_1 + ... + t^(k-1) A_(k-1)) to order t^(k-1), as k coefficients
-    (a scalar for k = 1); row t of the (n, k n) table a holds column t of each A_m in turn.
+    """Per(A_0 + t A_1 + ... + t^(k-1) A_(k-1)) to order t^(k-1) for the (k, n, n) stack a,
+    as k coefficients (a scalar for k = 1).
 
     Sign vectors are visited in Gray-code order, 2^(n-1) steps, so each step adds -2 or +2
     times one column of every A_m to the row sums. The walk runs in blocks of _BLOCK steps;
     both running sums are sequential cumsums carried across blocks, so the adds are those of
     a step loop; for k > 1 a truncated product rule multiplies the row sums' polynomials.
     """
-    n, width = a.shape  # width = k n
+    # C order first: step 0's row sums then always add along the same memory axis,
+    # whose rounding differs from another's, so the bits ignore a's layout
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    k, n, _ = a.shape
     if n > RYSER_DIM_LIMIT:
         raise SizeLimitError(f"exact permanent limited to dim <= {RYSER_DIM_LIMIT}, got {n}")
+    table = a.transpose(2, 0, 1).reshape(n, k * n)  # row t: column t of each A_m in turn
     # column t turns -1 at row t, back to +1 at row n + t; row 2n is step 0's sums
-    signed_cols = np.empty((2 * n + 1, width), dtype=np.complex128)
-    np.multiply(a, _TURN, out=signed_cols[:2 * n].reshape(2, n, width))
-    np.add.reduce(a, axis=0, out=signed_cols[2 * n])
-    row_sums = np.zeros(width, dtype=np.complex128)
+    signed_cols = np.empty((2 * n + 1, k * n), dtype=np.complex128)
+    np.multiply(table, _TURN, out=signed_cols[:2 * n].reshape(2, n, k * n))
+    np.add.reduce(table, axis=0, out=signed_cols[2 * n])
+    row_sums = np.zeros(k * n, dtype=np.complex128)
     total = 0j
     for start in range(0, 1 << (n - 1), _BLOCK):
         rows, signs = _gray_block(n, start)
@@ -117,15 +126,15 @@ def _walk(a: NDArray[np.complex128]) -> np.complex128 | NDArray[np.complex128]:
         deltas[0] += row_sums
         sums = np.add.accumulate(deltas, axis=0, out=deltas)
         row_sums = sums[-1]
-        if width == n:
+        if k == 1:
             # the ufunc reduce np.prod wraps, without its per-call dispatch
             terms = np.multiply.reduce(sums, axis=1)
-            terms *= signs  # prod_k delta_k
+            terms *= signs  # 2^(1-n) prod_k delta_k
         else:
-            s = sums.reshape(-1, width // n, n).T  # s[i, m]: row sum i's t^m coefficients
+            s = sums.reshape(-1, k, n).T  # s[i, m]: row sum i's t^m coefficients
             p = s[0] * signs
             for i in range(1, n):
-                for m in range(len(p) - 1, -1, -1):  # lower orders are still the old ones
+                for m in range(k - 1, -1, -1):  # lower orders are still the old ones
                     p[m] *= s[i, 0]
                     for j in range(m):
                         p[m] += p[j] * s[i, m - j]
@@ -146,11 +155,7 @@ def permanent_ryser(m: NDArray[np.complex128]) -> complex:
     n = _check_square(m)
     if n == 0:
         return 1 + 0j
-    # C order first: step 0's row sums then always add along a contiguous axis,
-    # whose rounding differs from a strided one, so the bits ignore m's layout
-    total = complex(_walk(np.ascontiguousarray(m, dtype=np.complex128).T))
-    scale = math.ldexp(1.0, 1 - n)
-    return complex(total.real * scale, total.imag * scale)
+    return complex(_walk(np.asarray(m)[None]))
 
 
 def permanent_with_repeats(

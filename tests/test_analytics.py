@@ -161,7 +161,10 @@ def derivative_per_coefficient(n, phi, damping):
     suffix = [1.0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] * factors[i]
-    leave_one_out = sum((a[j - 1] / (n * n)) * prefix[j - 1] * suffix[j] for j in range(1, n))
+    # left to right: from Python 3.12 sum() adds floats with Neumaier compensation
+    leave_one_out = 0.0
+    for j in range(1, n):
+        leave_one_out += (a[j - 1] / (n * n)) * prefix[j - 1] * suffix[j]
     return n * abs(math.sin(n * phi)) * damping * leave_one_out
 
 

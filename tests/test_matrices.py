@@ -123,8 +123,12 @@ def test_weights_bit_identical_to_mask_formulas():
 
 
 def test_spec_rejects_nonfinite_phase():
-    with pytest.raises(ValueError):
-        InterferometerSpec(n=2, phi=float("nan"))
+    # the largest-phase check rejects them all, zero weights too: 0 * inf and 0 * nan are nan
+    for phi in (math.nan, math.inf, -math.inf):
+        for n, weights, big in ((2, None, "1"), (1, None, "0"), (2, (0.0, -0.0), "0.0")):
+            with pytest.raises(ValueError) as exc:
+                InterferometerSpec(n=n, phi=phi, weights=weights)
+            assert str(exc.value) == f"{big} * phi must be finite, got phi = {phi!r}"
 
 
 @pytest.mark.parametrize(

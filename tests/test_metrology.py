@@ -9,6 +9,7 @@ import pytest
 from qufti import (
     DephasingParams,
     InterferometerSpec,
+    OutcomeDistribution,
     SizeLimitError,
     coincidence_probability,
     compose_qufti,
@@ -18,6 +19,7 @@ from qufti import (
     heisenberg_limit,
     noon_dephased_sensitivity,
     orc_photon_count,
+    permanent_closed_form,
     permanent_ryser,
     phase_sensitivity_small_angle,
     probability_derivative,
@@ -583,3 +585,28 @@ def test_mask_weights_rescale_exactly():
     assert huge == pytest.approx(unit / 1e200, rel=1e-12)
     tiny = sensitivity_for_mask(InterferometerSpec(3, 0.9e10, (0.0, 1e-10, 0.0)))
     assert tiny == pytest.approx(1e10 * sensitivity_for_mask(InterferometerSpec(3, 0.9, (0.0, 1.0, 0.0))), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: permanent_closed_form(0, 0.1), ValueError, "dimension must be >= 1, got 0"),
+        (
+            lambda: OutcomeDistribution(1, [((1,), 1.0)]).probability_of((2,)),
+            KeyError,
+            "no outcome (2,)",
+        ),
+        (lambda: orc_photon_count(0), ValueError, "need n >= 1, got 0"),
+        (lambda: protocol_efficiency(0.9, 0.9, 0), ValueError, "need n >= 1, got 0"),
+        (
+            lambda: noon_dephased_sensitivity(1, 0.1, DephasingParams(0.0)),
+            ValueError,
+            "need N >= 2, got 1",
+        ),
+    ],
+    ids=["closed_form", "probability_of", "orc_photon_count", "protocol_efficiency", "noon"],
+)
+def test_input_guards_name_the_bad_value(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.args == (message,)

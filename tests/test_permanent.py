@@ -209,6 +209,23 @@ def test_ryser_bits_independent_of_memory_layout(n):
             assert permanent_ryser(view) == expected
 
 
+def hex_parts(z):
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_ryser_bit_signs_of_zero_match_step_loop(n):
+    # == takes -0.0 for 0.0; float.hex does not, so this pins the zero signs as well
+    rng = np.random.default_rng(5000 + n)
+    real = rng.normal(size=(n, n))
+    real[rng.random((n, n)) < 0.4] = -0.0
+    cplx = random_unit_disk_matrix(rng, n)
+    cplx.real[rng.random((n, n)) < 0.3] = -0.0
+    cplx.imag[rng.random((n, n)) < 0.3] = -0.0
+    for m in (real, cplx, -np.eye(n), -1j * np.eye(n), -0.0 * np.ones((n, n))):
+        assert hex_parts(permanent_ryser(m)) == hex_parts(glynn_step_loop(m))
+
+
 @pytest.mark.parametrize("n", [14, 16])
 def test_ryser_against_product_form_in_mpmath(n):
     # the gradient permanent n^(1-n) prod_j (j e^{i n phi} + n - j) in 40 digits
@@ -232,7 +249,7 @@ def test_walk_jet_matches_permutation_sum_of_truncated_polynomials(n):
         for i, j in enumerate(perm):
             poly = np.polynomial.polynomial.polymul(poly, jet[:, i, j])[:3]
         expected += poly
-    got = _walk(jet.transpose(2, 0, 1).reshape(n, 3 * n)) * math.ldexp(1.0, 1 - n)
+    got = _walk(jet)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
     assert got[0] == pytest.approx(permanent_ryser(jet[0]), rel=1e-14, abs=1e-14)
 

@@ -3,9 +3,11 @@
 The interferometer is U = V . D . V+, where V is the n-mode quantum
 Fourier transform matrix and D the diagonal phase mask. Mode j (0-based)
 picks up phase weights[j] * phi; the default weights are the linear
-gradient 0, 1, ..., n-1 of the paper's device. The tests cross-check the
-matrix product against a closed-form expression for the entries of U
-under the gradient.
+gradient 0, 1, ..., n-1 of the paper's device. U is circulant for any
+weights, so it is built from one row, the DFT of the mask, and comes out
+circulant bit for bit, which the permanent kernel's orbit sum needs. The
+tests cross-check it against the matrix product and against a
+closed-form expression for the entries of U under the gradient.
 """
 
 from __future__ import annotations
@@ -64,17 +66,25 @@ def phase_vector(spec: InterferometerSpec) -> NDArray[np.complex128]:
 
 
 @functools.lru_cache(maxsize=32)
-def _qft_pair(n: int) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """V and its conjugate for n modes, read-only and cached: every spec of one
-    size, one per phi, shares them."""
-    v = qft_matrix(n)
-    vc = v.conj()
-    v.setflags(write=False)
-    vc.setflags(write=False)
-    return v, vc
+def _rotations(n: int) -> NDArray[np.intp]:
+    """(j - i) mod n at [i, j], read-only and cached: row 0 of a circulant indexed by it
+    gives the whole matrix."""
+    index = (np.arange(n) - np.arange(n)[:, None]) % n
+    index.setflags(write=False)
+    return index
+
+
+def _circulant(d: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """V . diag(d) . V+ for each phase-mask diagonal d[..., :], circulant bit for bit.
+
+    With 1-based V, (V D V+)[j, l] = (1/n) sum_m d_m w^((l - j) m), m = 1..n, w = e^(2 pi i/n),
+    and w^((l - j) m) = w^(-(l - j)(n - m)), so row 0 is the DFT of the reversed mask over n,
+    and row j is row 0 rotated by j. numpy.fft loads on first use.
+    """
+    first = np.fft.fft(d[..., ::-1], norm="forward")
+    return first[..., _rotations(d.shape[-1])]
 
 
 def compose_qufti(spec: InterferometerSpec) -> NDArray[np.complex128]:
-    """Full interferometer unitary U = V . D . V+ for the given spec."""
-    v, vc = _qft_pair(spec.n)
-    return (v * phase_vector(spec)) @ vc.T
+    """Full interferometer unitary U = V . D . V+ for the given spec, exactly circulant."""
+    return _circulant(phase_vector(spec))

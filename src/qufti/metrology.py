@@ -30,7 +30,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import _libm, _result
-from .matrices import InterferometerSpec, _qft_pair, compose_qufti
+from .matrices import InterferometerSpec, _circulant, compose_qufti
 from .permanent import SizeLimitError, _walk, permanent_with_repeats
 
 # Noiseless P this close to a double root (0 or 1, relative) takes the root's limit.
@@ -232,10 +232,8 @@ def sensitivity_for_mask(spec: InterferometerSpec) -> float:
         raise ValueError(f"weight spread {spread!r} * phi must be finite, got phi = {phi!r}")
     e = math.frexp(spread / n)[1]
     w, phi = np.array([math.ldexp(x - w[0], -e) for x in w]), math.ldexp(phi, e)
-    v, vc = _qft_pair(n)
     d = np.exp(1j * (w * phi)) * np.array([np.ones(n), 1j * w, -0.5 * w * w])
-    jet = (v * d[:, None]) @ vc.T  # U, U' and U''/2 = V D diag(1, i w, -w^2 / 2) V+
-    per, d1, d2 = _walk(jet)
+    per, d1, d2 = _walk(_circulant(d))  # U, U' and U''/2 = V D diag(1, i w, -w^2 / 2) V+
     dp = 2.0 * (per.conjugate() * d1).real
     d2p = 4.0 * (per.conjugate() * d2).real + 2.0 * abs(d1) ** 2
     # P'' = 0 gives the limit inf, and n P' / |P''| is +-inf, or nan where P is constant

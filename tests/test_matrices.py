@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qufti import InterferometerSpec, compose_qufti, qft_matrix
-from qufti.matrices import _qft_pair, phase_vector
+from qufti.matrices import _rotations, phase_vector
 
 # Denominator modulus below which the closed-form entry is treated as 0/0.
 SINGULAR_TOL = 1e-14
@@ -159,28 +159,35 @@ def test_compose_identity_at_zero_phase():
         np.testing.assert_allclose(u, np.eye(n), atol=1e-12)
 
 
-def test_compose_cached_qft_bit_identical_to_fresh():
-    # V and its conjugate are cached per n; U keeps the bits of rebuilding them per call
+def test_compose_bit_identical_to_fft_of_reversed_mask():
+    # row 0 of U is the DFT of the reversed mask over n, and row j is row 0 rotated by j
     rng = np.random.default_rng(24)
     for n in range(1, 25):
         weights = tuple(float(w) for w in rng.uniform(-3.0, 3.0, n))
         cases = [{"phi": phi} for phi in (0.0, 0.3, -2.9, 1e-9)] + [{"phi": 1.1, "weights": weights}]
         for fields in cases:
             spec = InterferometerSpec(n=n, **fields)
-            v = qft_matrix(n)
-            fresh = (v * phase_vector(spec)) @ v.conj().T
+            first = np.fft.fft(phase_vector(spec)[::-1], norm="forward")
+            fresh = np.array([np.roll(first, j) for j in range(n)])
             assert compose_qufti(spec).tobytes() == fresh.tobytes(), (n, fields)
 
 
-def test_cached_qft_is_read_only():
-    v, vc = _qft_pair(3)
-    for cached in (v, vc):
-        with pytest.raises(ValueError):
-            cached[0, 0] = 0.0
-    # the public constructor still hands out a fresh, writable matrix
-    q = qft_matrix(3)
-    q[0, 0] = 0.0
-    assert _qft_pair(3)[0][0, 0] != 0.0
+def test_cached_rotations_are_read_only():
+    index = _rotations(3)
+    with pytest.raises(ValueError):
+        index[0, 0] = 1
+    assert index.tolist() == [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 16])
+def test_compose_matches_matrix_product(n):
+    # the circulant from one DFT row against V . D . V+ multiplied out
+    rng = np.random.default_rng(30 + n)
+    v = qft_matrix(n)
+    for fields in ({"phi": 0.7}, {"phi": 1.3, "weights": tuple(rng.uniform(-3.0, 3.0, n))}):
+        spec = InterferometerSpec(n=n, **fields)
+        product = (v * phase_vector(spec)) @ v.conj().T
+        np.testing.assert_allclose(compose_qufti(spec), product, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n,phi", [(2, 0.3), (5, 1.1), (9, -2.4), (16, 0.01)])

@@ -339,7 +339,7 @@ def test_mask_sensitivity_at_stationary_points(n, phi):
 
 
 # minima with P > 0, not roots: the odd-n gradient at pi / n, one mode's phase at pi
-NON_ROOT_MINIMA = [InterferometerSpec(n, math.pi / n) for n in range(3, 18, 2)]
+NON_ROOT_MINIMA = [InterferometerSpec(n, math.pi / n) for n in range(3, 22, 2)]
 NON_ROOT_MINIMA.append(InterferometerSpec(3, math.pi, weights=(0.0, 1.0, 0.0)))
 
 

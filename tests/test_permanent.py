@@ -1,8 +1,10 @@
 """Permanent kernels against the permutation-expansion oracle."""
 
 import cmath
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from qufti import (
     permanent_ryser,
     permanent_with_repeats,
 )
-from qufti.permanent import _gray_block, _walk
+from qufti.permanent import _gray_block, _orbit_schedule, _walk
 
 
 def random_unit_disk_matrix(rng, n):
@@ -173,10 +175,104 @@ def test_ryser_bit_identical_to_step_loop(n):
     assert_matches_ryser(value, m)
 
 
+def circulant(first):
+    """The circulants whose row 0 is first[..., :]: entry [i, j] is first[(j - i) mod n]."""
+    n = first.shape[-1]
+    return first[..., (np.arange(n) - np.arange(n)[:, None]) % n]
+
+
+def random_circulant(rng, n):
+    return circulant(random_unit_disk_matrix(rng, n)[0])
+
+
+def orbit_representatives(n):
+    """Brute force: the smallest sign vector of each orbit under rotation and negation (bit j
+    set: delta_j = -1), in increasing order, with its weight n / |stabilizer|."""
+    full = (1 << n) - 1
+    reps = []
+    for x in range(1 << (n - 1)):
+        images = [((x << r) | (x >> (n - r))) & full for r in range(n)]
+        images += [y ^ full for y in images]
+        if x == min(images):
+            assert n % images.count(x) == 0
+            reps.append((x, n // images.count(x)))
+    return reps
+
+
+def orbit_step_loop(m):
+    """Bit reference for a circulant: Glynn's sum over orbit_representatives, one at a time.
+
+    Each representative's row sums add two halves: its signed columns below n // 2 (after a
+    zero for odd n) and the rest, column by column, in the kernel's order.
+    """
+    n = m.shape[0]
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    h = n // 2
+    total = 0j
+    for x, weight in orbit_representatives(n):
+        signed = [-a[:, j] if x >> j & 1 else a[:, j] for j in range(n)]
+        low = functools.reduce(operator.add, [np.zeros(n, dtype=complex)] * (n % 2) + signed[:h])
+        high = functools.reduce(operator.add, signed[h:])
+        sign = -1.0 if bin(x).count("1") % 2 else 1.0
+        total += complex(np.prod(high + low)) * (sign * weight * math.ldexp(1.0, 1 - n))
+    return total
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_orbit_representatives_cover_each_sign_vector_once(n):
+    # every delta with delta_n = +1 lies in exactly one orbit, and each representative's
+    # weight counts its orbit's vectors with delta_n = +1
+    full = (1 << n) - 1
+    reps = orbit_representatives(n)
+    owner = {}
+    for x, weight in reps:
+        orbit = {((x << r) | (x >> (n - r))) & full for r in range(n)}
+        orbit |= {y ^ full for y in orbit}
+        half = [y for y in orbit if y < 1 << (n - 1)]
+        assert len(half) == weight
+        for y in half:
+            assert owner.setdefault(y, x) == x
+    assert sorted(owner) == list(range(1 << (n - 1)))
+    assert sum(weight for _, weight in reps) == 1 << (n - 1)
+    # the kernel's cached schedule holds the same representatives, weights and signs
+    hi, lo, signs, rows = _orbit_schedule(n)
+    h = n // 2
+    assert ((hi - (1 << h)) << h | lo).tolist() == [x for x, _ in reps]
+    expected = [(-1) ** bin(x).count("1") * w * 2.0 ** (1 - n) for x, w in reps]
+    assert signs.tolist() == expected
+    assert rows.shape == (n - h, (1 << h) + (1 << (n - 1 - h)))
+    assert not any(part.flags.writeable for part in (hi, lo, signs, rows))
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_orbit_path_matches_gray_walk_on_random_circulants(n):
+    rng = np.random.default_rng(6000 + n)
+    m = random_circulant(rng, n)
+    value = permanent_ryser(m)
+    assert cmath.isclose(value, glynn_step_loop(m), rel_tol=1e-12)
+    if n < 14:
+        assert value == orbit_step_loop(m)
+
+
 def test_ryser_bit_identical_to_step_loop_verify_grid():
+    # compose_qufti's U is circulant, so the orbit sum's step loop is the reference
     for phi in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
         u = compose_qufti(InterferometerSpec(n=12, phi=float(phi)))
-        assert permanent_ryser(u) == glynn_step_loop(u)
+        assert permanent_ryser(u) == orbit_step_loop(u)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_constant_diagonal_non_circulant_keeps_gray_walk_bits(n):
+    # the one-entry probe passes, the full test does not: the Gray walk's bits
+    rng = np.random.default_rng(7000 + n)
+    for m in (random_unit_disk_matrix(rng, n), random_circulant(rng, n)):
+        m[1, 2] += 0.5  # breaks one diagonal
+        np.fill_diagonal(m, 0.3 - 0.2j)
+        assert permanent_ryser(m) == glynn_step_loop(m)
+    # Toeplitz: every diagonal constant, but they do not wrap around
+    t = random_unit_disk_matrix(rng, 2 * n - 1)[0]
+    toeplitz = t[np.arange(n) - np.arange(n)[:, None] + n - 1]
+    assert permanent_ryser(toeplitz) == glynn_step_loop(toeplitz)
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -226,16 +322,25 @@ def test_ryser_bit_signs_of_zero_match_step_loop(n):
         assert hex_parts(permanent_ryser(m)) == hex_parts(glynn_step_loop(m))
 
 
-@pytest.mark.parametrize("n", [14, 16])
-def test_ryser_against_product_form_in_mpmath(n):
+def assert_product_form_in_mpmath(n, phis, tol):
     # the gradient permanent n^(1-n) prod_j (j e^{i n phi} + n - j) in 40 digits
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        for phi in (0.3, 1.1, 2.5):
+        for phi in phis:
             z = mpmath.expj(n * mpmath.mpf(phi))
             exact = mpmath.mpf(n) ** (1 - n) * mpmath.fprod(j * z + n - j for j in range(1, n))
             value = permanent_ryser(compose_qufti(InterferometerSpec(n=n, phi=phi)))
-            assert abs(mpmath.mpc(value) - exact) < 1e-13
+            assert abs(mpmath.mpc(value) - exact) < tol, phi
+
+
+@pytest.mark.parametrize("n", [14, 16, 18, 20])
+def test_ryser_against_product_form_in_mpmath(n):
+    assert_product_form_in_mpmath(n, (0.3, 1.1, 2.5), 1e-14)
+
+
+def test_ryser_near_zero_phase_against_product_form_in_mpmath():
+    # U is nearly the identity here; a Gray walk's carried row sums drifted to 3.7e-12
+    assert_product_form_in_mpmath(20, (0.0025, 0.01), 1e-13)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -243,6 +348,22 @@ def test_walk_jet_matches_permutation_sum_of_truncated_polynomials(n):
     # Per(A0 + t A1 + t^2 A2) to order t^2: each permutation's product of entry polynomials
     rng = np.random.default_rng(40 + n)
     jet = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+    expected = np.zeros(3, dtype=complex)
+    for perm in itertools.permutations(range(n)):
+        poly = np.array([1.0 + 0j])
+        for i, j in enumerate(perm):
+            poly = np.polynomial.polynomial.polymul(poly, jet[:, i, j])[:3]
+        expected += poly
+    got = _walk(jet)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+    assert got[0] == pytest.approx(permanent_ryser(jet[0]), rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_walk_jet_of_circulants_matches_permutation_sum(n):
+    # a stack of circulants takes the orbit sum, against the same permutation sum
+    rng = np.random.default_rng(50 + n)
+    jet = circulant(rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n)))
     expected = np.zeros(3, dtype=complex)
     for perm in itertools.permutations(range(n)):
         poly = np.array([1.0 + 0j])

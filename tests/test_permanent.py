@@ -19,7 +19,7 @@ from qufti import (
     permanent_ryser,
     permanent_with_repeats,
 )
-from qufti.permanent import _gray_block, _orbit_schedule, _walk
+from qufti.permanent import _half_rows, _orbit_schedule, _plain_block, _walk
 
 
 def random_unit_disk_matrix(rng, n):
@@ -112,32 +112,43 @@ def test_empty_permanent_is_one():
     assert permanent_naive(empty) == permanent_ryser(empty) == permanent_with_repeats(empty, []) == 1
 
 
+def test_overflowing_permanent_is_non_finite_without_warning():
+    # pytest turns a leaked RuntimeWarning into an error; both schedules, and the oracle
+    rng = np.random.default_rng(0)
+    for m in (1e160 * rng.normal(size=(3, 3)), 1e160 * random_circulant(rng, 4)):
+        assert not cmath.isfinite(permanent_ryser(m))
+        assert not cmath.isfinite(permanent_naive(m))
+
+
 def test_ryser_bit_reproducible():
     rng = np.random.default_rng(5)
     m = random_unit_disk_matrix(rng, 7)
     assert permanent_ryser(m) == permanent_ryser(m.copy())
 
 
-def glynn_step_loop(m):
-    """Bit reference: Glynn's Gray-code walk one step at a time, in the kernel's order."""
+def every_sign_vector(n):
+    """Glynn's sum over a general matrix: every x < 2^(n-1) in increasing order, weight 1."""
+    return [(x, 1) for x in range(1 << (n - 1))]
+
+
+def glynn_step_loop(m, vectors):
+    """Bit reference: Glynn's sum over the given (x, weight) list, one sign vector at a time.
+
+    Bit j of x set means delta_j = -1. Each vector's row sums add two halves: its signed
+    columns below n // 2 (after a zero for odd n) and the rest, column by column, in the
+    kernel's order.
+    """
     n = m.shape[0]
     a = np.ascontiguousarray(m, dtype=np.complex128)
-    row_sums = a.sum(axis=1)  # every sign +1
-    total = 0j + complex(np.prod(row_sums))  # step 0, added to a zero total
-    sign = 1
-    gray = 0
-    for step in range(1, 1 << (n - 1)):
-        new_gray = step ^ (step >> 1)
-        flipped = (gray ^ new_gray).bit_length() - 1
-        if new_gray & (1 << flipped):
-            row_sums -= 2 * a[:, flipped]
-        else:
-            row_sums += 2 * a[:, flipped]
-        sign = -sign
-        gray = new_gray
-        total += sign * complex(np.prod(row_sums))
-    scale = math.ldexp(1.0, 1 - n)
-    return complex(total.real * scale, total.imag * scale)
+    h = n // 2
+    total = 0j
+    for x, weight in vectors:
+        signed = [-a[:, j] if x >> j & 1 else a[:, j] for j in range(n)]
+        low = functools.reduce(operator.add, [np.zeros(n, dtype=complex)] * (n % 2) + signed[:h])
+        high = functools.reduce(operator.add, signed[h:])
+        sign = -1.0 if bin(x).count("1") % 2 else 1.0
+        total += complex(np.prod(high + low)) * (sign * weight * math.ldexp(1.0, 1 - n))
+    return total
 
 
 def ryser_step_loop(m):
@@ -167,11 +178,11 @@ def assert_matches_ryser(value, m):
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_ryser_bit_identical_to_step_loop(n):
-    # n = 12 and 13 walk 2 and 4 blocks, so the carries between blocks count
+    # n = 12 and 13 sum 2 and 4 blocks of sign vectors, so the block boundaries count
     rng = np.random.default_rng(1000 + n)
     m = random_unit_disk_matrix(rng, n)
     value = permanent_ryser(m)
-    assert value == glynn_step_loop(m)
+    assert value == glynn_step_loop(m, every_sign_vector(n))
     assert_matches_ryser(value, m)
 
 
@@ -199,25 +210,6 @@ def orbit_representatives(n):
     return reps
 
 
-def orbit_step_loop(m):
-    """Bit reference for a circulant: Glynn's sum over orbit_representatives, one at a time.
-
-    Each representative's row sums add two halves: its signed columns below n // 2 (after a
-    zero for odd n) and the rest, column by column, in the kernel's order.
-    """
-    n = m.shape[0]
-    a = np.ascontiguousarray(m, dtype=np.complex128)
-    h = n // 2
-    total = 0j
-    for x, weight in orbit_representatives(n):
-        signed = [-a[:, j] if x >> j & 1 else a[:, j] for j in range(n)]
-        low = functools.reduce(operator.add, [np.zeros(n, dtype=complex)] * (n % 2) + signed[:h])
-        high = functools.reduce(operator.add, signed[h:])
-        sign = -1.0 if bin(x).count("1") % 2 else 1.0
-        total += complex(np.prod(high + low)) * (sign * weight * math.ldexp(1.0, 1 - n))
-    return total
-
-
 @pytest.mark.parametrize("n", range(2, 13))
 def test_orbit_representatives_cover_each_sign_vector_once(n):
     # every delta with delta_n = +1 lies in exactly one orbit, and each representative's
@@ -234,14 +226,19 @@ def test_orbit_representatives_cover_each_sign_vector_once(n):
             assert owner.setdefault(y, x) == x
     assert sorted(owner) == list(range(1 << (n - 1)))
     assert sum(weight for _, weight in reps) == 1 << (n - 1)
-    # the kernel's cached schedule holds the same representatives, weights and signs
-    hi, lo, signs, rows = _orbit_schedule(n)
+    # the kernel's cached schedules hold the same representatives, weights and signs, and
+    # a general matrix's every sign vector with weight 1, in blocks
     h = n // 2
-    assert ((hi - (1 << h)) << h | lo).tolist() == [x for x, _ in reps]
-    expected = [(-1) ** bin(x).count("1") * w * 2.0 ** (1 - n) for x, w in reps]
-    assert signs.tolist() == expected
+    plain = [_plain_block(n, start) for start in range(0, 1 << (n - 1), 1024)]
+    schedules = [_orbit_schedule(n), [np.concatenate(parts) for parts in zip(*plain)]]
+    for (hi, lo, signs), vectors in zip(schedules, (reps, every_sign_vector(n))):
+        assert ((hi - (1 << h)) << h | lo).tolist() == [x for x, _ in vectors]
+        expected = [(-1) ** bin(x).count("1") * w * 2.0 ** (1 - n) for x, w in vectors]
+        assert signs.tolist() == expected
+    rows = _half_rows(n)
     assert rows.shape == (n - h, (1 << h) + (1 << (n - 1 - h)))
-    assert not any(part.flags.writeable for part in (hi, lo, signs, rows))
+    parts = [rows, *_orbit_schedule(n), *itertools.chain(*plain)]
+    assert not any(part.flags.writeable for part in parts)
 
 
 @pytest.mark.parametrize("n", range(2, 15))
@@ -249,40 +246,42 @@ def test_orbit_path_matches_gray_walk_on_random_circulants(n):
     rng = np.random.default_rng(6000 + n)
     m = random_circulant(rng, n)
     value = permanent_ryser(m)
-    assert cmath.isclose(value, glynn_step_loop(m), rel_tol=1e-12)
+    assert cmath.isclose(value, glynn_step_loop(m, every_sign_vector(n)), rel_tol=1e-12)
     if n < 14:
-        assert value == orbit_step_loop(m)
+        assert value == glynn_step_loop(m, orbit_representatives(n))
 
 
 def test_ryser_bit_identical_to_step_loop_verify_grid():
     # compose_qufti's U is circulant, so the orbit sum's step loop is the reference
     for phi in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
         u = compose_qufti(InterferometerSpec(n=12, phi=float(phi)))
-        assert permanent_ryser(u) == orbit_step_loop(u)
+        assert permanent_ryser(u) == glynn_step_loop(u, orbit_representatives(12))
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 12])
-def test_constant_diagonal_non_circulant_keeps_gray_walk_bits(n):
-    # the one-entry probe passes, the full test does not: the Gray walk's bits
+def test_constant_diagonal_non_circulant_keeps_plain_schedule_bits(n):
+    # the one-entry probe passes, the full test does not: the bits of every sign vector
     rng = np.random.default_rng(7000 + n)
     for m in (random_unit_disk_matrix(rng, n), random_circulant(rng, n)):
         m[1, 2] += 0.5  # breaks one diagonal
         np.fill_diagonal(m, 0.3 - 0.2j)
-        assert permanent_ryser(m) == glynn_step_loop(m)
+        assert permanent_ryser(m) == glynn_step_loop(m, every_sign_vector(n))
     # Toeplitz: every diagonal constant, but they do not wrap around
     t = random_unit_disk_matrix(rng, 2 * n - 1)[0]
     toeplitz = t[np.arange(n) - np.arange(n)[:, None] + n - 1]
-    assert permanent_ryser(toeplitz) == glynn_step_loop(toeplitz)
+    assert permanent_ryser(toeplitz) == glynn_step_loop(toeplitz, every_sign_vector(n))
 
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_ryser_cached_blocks_bit_identical_to_step_loop(n):
-    # the walk's Gray-code blocks are cached per (n, start): a cold call, and warm
-    # calls after walks of other sizes, give the step loop's bits
+    # the half-table rows are cached per n and the sign-vector blocks per (n, start): a
+    # cold call, and warm calls after walks of other sizes, give the step loop's bits (eye,
+    # ones and zeros are circulant, and their sums exact under either list of sign vectors)
     rng = np.random.default_rng(2000 + n)
     mats = [random_unit_disk_matrix(rng, n), np.eye(n), np.ones((n, n)), np.zeros((n, n))]
-    expected = [glynn_step_loop(m) for m in mats]
-    _gray_block.cache_clear()
+    expected = [glynn_step_loop(m, every_sign_vector(n)) for m in mats]
+    _half_rows.cache_clear()
+    _plain_block.cache_clear()
     assert [permanent_ryser(m) for m in mats] == expected
     for other in (2, 7, 12):
         permanent_ryser(random_unit_disk_matrix(rng, other))
@@ -293,11 +292,11 @@ def test_ryser_cached_blocks_bit_identical_to_step_loop(n):
 
 @pytest.mark.parametrize("n", [4, 7, 8, 9, 12, 13])
 def test_ryser_bits_independent_of_memory_layout(n):
-    # step 0's row sums round differently along a strided axis than a contiguous one
+    # a Fortran-order, transposed or strided matrix gives the bits of its C-order copy
     rng = np.random.default_rng(3000 + n)
     for _ in range(20):
         m = random_unit_disk_matrix(rng, n)
-        expected = glynn_step_loop(m)
+        expected = glynn_step_loop(m, every_sign_vector(n))
         assert permanent_ryser(m) == expected
         wide = np.empty((n, 2 * n), dtype=np.complex128)
         wide[:, ::2] = m
@@ -318,8 +317,11 @@ def test_ryser_bit_signs_of_zero_match_step_loop(n):
     cplx = random_unit_disk_matrix(rng, n)
     cplx.real[rng.random((n, n)) < 0.3] = -0.0
     cplx.imag[rng.random((n, n)) < 0.3] = -0.0
-    for m in (real, cplx, -np.eye(n), -1j * np.eye(n), -0.0 * np.ones((n, n))):
-        assert hex_parts(permanent_ryser(m)) == hex_parts(glynn_step_loop(m))
+    circulants = (-np.eye(n), -1j * np.eye(n), -0.0 * np.ones((n, n)))
+    for mats, vectors in (((real, cplx), every_sign_vector(n)),
+                          (circulants, orbit_representatives(n))):
+        for m in mats:
+            assert hex_parts(permanent_ryser(m)) == hex_parts(glynn_step_loop(m, vectors))
 
 
 def assert_product_form_in_mpmath(n, phis, tol):
@@ -339,8 +341,39 @@ def test_ryser_against_product_form_in_mpmath(n):
 
 
 def test_ryser_near_zero_phase_against_product_form_in_mpmath():
-    # U is nearly the identity here; a Gray walk's carried row sums drifted to 3.7e-12
+    # U is nearly the identity here; row sums carried from step to step drifted to 3.7e-12
     assert_product_form_in_mpmath(20, (0.0025, 0.01), 1e-13)
+
+
+def glynn_in_mpmath(m, mpmath):
+    """Glynn's sum for m in 40 digits, walking the sign vectors in Gray-code order."""
+    n = m.shape[0]
+    with mpmath.workdps(40):
+        cols = [[mpmath.mpc(complex(m[i, j])) for i in range(n)] for j in range(n)]
+        sums = [mpmath.fsum(row) for row in zip(*cols)]  # every delta_j = +1
+        total = mpmath.fprod(sums)
+        gray = 0
+        for step in range(1, 1 << (n - 1)):
+            flipped = (step & -step).bit_length() - 1
+            gray ^= 1 << flipped
+            turn = -2 if gray >> flipped & 1 else 2
+            sums = [s + turn * c for s, c in zip(sums, cols[flipped])]
+            term = mpmath.fprod(sums)
+            total += -term if bin(gray).count("1") % 2 else term
+        return total / 2 ** (n - 1)
+
+
+def test_ryser_general_matrices_against_glynn_in_mpmath():
+    # eight seeded n = 12 matrices: the median relative error is 1.5e-15; a walk that
+    # carried its row sums from step to step gave 8.8e-15
+    mpmath = pytest.importorskip("mpmath")
+    errors = []
+    for seed in range(8):
+        m = random_unit_disk_matrix(np.random.default_rng(seed), 12)
+        exact = glynn_in_mpmath(m, mpmath)
+        with mpmath.workdps(40):
+            errors.append(float(abs(mpmath.mpc(permanent_ryser(m)) - exact) / abs(exact)))
+    assert np.median(errors) < 5e-15, errors
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -12,11 +12,14 @@ permanent's exact derivatives along a path.
 
 One walk serves every matrix, O(2^(n-1) n): it reads each sign vector's row
 sums from two tables of half sums, one add per row sum, and inputs differ
-only in the list of sign vectors it sums. A general matrix takes all
-2^(n-1), each of weight 1. A circulant matrix, as every QuFTI unitary
-V D V+ is, has the same summand on all rotations and negations of a sign
-vector (Glynn, Eur. J. Combin. 31, 2010), so it takes one vector per orbit,
-about 2^(n-1) / n of them, each weighted by its orbit's share.
+only in the list of sign vectors it sums. Each table entry carries the sign
+of the half it stands for, so a vector's sign is a product of two. A
+general matrix takes all 2^(n-1), each of weight 1, as one cached block
+read at a shifted offset into the tables and negated where the block's
+start has odd parity. A circulant matrix, as every QuFTI unitary V D V+
+is, has the same summand on all rotations and negations of a sign vector
+(Glynn, Eur. J. Combin. 31, 2010), so it takes one vector per orbit, about
+2^(n-1) / n of them, each weighted by its orbit's share.
 
 The walk returns Per itself: the cached signs carry Glynn's 2^(1-n), a
 power of two per term (times a small integer weight for an orbit), exact in
@@ -46,7 +49,8 @@ RYSER_DIM_LIMIT = 30
 # The formula permanent_ryser evaluates, as verify's summary line names it.
 KERNEL = "glynn"
 
-# Sign vectors, or half-sum table entries, evaluated per vectorised block of the walk.
+# Sign vectors, or half-sum table entries, evaluated per vectorised block of the walk. A power
+# of two: a general matrix's blocks are one template, shifted per block (see _half_rows).
 _BLOCK = 1024
 
 # Sign vectors scanned per chunk while an orbit schedule is built.
@@ -84,38 +88,6 @@ def permanent_naive(m: NDArray[np.complex128]) -> complex:
     return total
 
 
-def _entries(
-    x: NDArray[np.int64], weight: int | NDArray[np.float64], n: int
-) -> tuple[NDArray[np.int32], NDArray[np.int32], NDArray[np.float64]]:
-    """For sign vectors x (bit j set means delta_j = -1; x < 2^(n-1) keeps delta_n = +1):
-    the entries hi and lo of the half-sum table (see _half_rows) whose sum is each one's row
-    sums, and its weight times prod_k delta_k 2^(1-n)."""
-    h = n // 2
-    odd = x ^ (x >> 16)  # bit 0 ends up the parity of how many delta_j are -1 (x < 2^32)
-    for shift in (8, 4, 2, 1):
-        odd ^= odd >> shift
-    signs = np.where(odd & 1, -1.0, 1.0) * weight * math.ldexp(1.0, 1 - n)
-    hi, lo = (x >> h) + (1 << h), x & ((1 << h) - 1)
-    return hi.astype(np.int32), lo.astype(np.int32), signs
-
-
-@functools.lru_cache(maxsize=32)
-def _plain_block(
-    n: int, start: int
-) -> tuple[NDArray[np.int32], NDArray[np.int32], NDArray[np.float64]]:
-    """Sign vectors start .. start + _BLOCK - 1, each of weight 1, as _entries gives them:
-    a general matrix's Glynn sum takes every x < 2^(n-1) in increasing order.
-
-    A block depends on (n, start) alone, so it is read-only and cached: every sum up to
-    n = 11 is one block, and repeated permanents of one size, one per outcome or per phi,
-    skip rebuilding it. The cache keeps at most 32 blocks of 16 KiB.
-    """
-    block = _entries(np.arange(start, min(start + _BLOCK, 1 << (n - 1))), 1, n)
-    for part in block:
-        part.setflags(write=False)
-    return block
-
-
 @functools.lru_cache(maxsize=8)
 def _orbit_schedule(
     n: int,
@@ -125,10 +97,11 @@ def _orbit_schedule(
     On a circulant the summand is the same over an orbit, of which n / |stabilizer| vectors
     have delta_n = +1; the orbit's smallest x stands for them. The candidates are scanned
     _SCAN at a time, and each rotation drops those it beats before the next one is tried.
-    Returns _entries for the representatives in increasing order, weighted n / |stabilizer|.
-    Like _plain_block, it is read-only and cached per n.
+    Returns the representatives' half-sum table entries hi and lo (see _half_rows), in
+    increasing x, and their signs weighted n / |stabilizer|. It is read-only and cached per n.
     """
-    full = (1 << n) - 1
+    h, full = n // 2, (1 << n) - 1
+    sign = _half_rows(n)[1]
     found = []
     for start in range(0, 1 << (n - 1), _SCAN):
         x = np.arange(start, min(start + _SCAN, 1 << (n - 1)), dtype=np.int64)
@@ -139,7 +112,8 @@ def _orbit_schedule(
             stab += (rot == x) | (neg == x)
             keep = (x <= rot) & (x <= neg)
             x, stab = x[keep], stab[keep]
-        found.append(_entries(x, n / stab, n))
+        hi, lo = (x >> h) + (1 << h), x & ((1 << h) - 1)
+        found.append((hi.astype(np.int32), lo.astype(np.int32), sign[hi] * sign[lo] * (n / stab)))
     schedule = tuple(np.concatenate(parts) for parts in zip(*found))
     for part in schedule:
         part.setflags(write=False)
@@ -147,14 +121,27 @@ def _orbit_schedule(
 
 
 @functools.lru_cache(maxsize=RYSER_DIM_LIMIT)
-def _half_rows(n: int) -> NDArray[np.intp]:
-    """Which rows of [A^T; -A^T; 0] each entry of the walk's half-sum table adds, in order.
+def _half_rows(
+    n: int,
+) -> tuple[NDArray[np.intp], NDArray[np.float64], NDArray[np.intp], NDArray[np.intp],
+           NDArray[np.float64], NDArray[np.float64]]:
+    """The walk's half-sum table for size n, and a general matrix's first block of sign vectors.
 
     A sign vector's row sums split at column h = n // 2 into a low half (the columns below
     h) and a high half (the rest; column n - 1 keeps +1). The table holds every choice of
     signs of each half, low entries first, so one entry of each added gives any vector's
-    row sums. Column e lists the n - h rows that entry e adds (for odd n a low entry starts
-    from the zero row, 2n). It depends on n alone, so it is read-only and cached.
+    row sums. Returns rows, sign, hi, lo, signs and -signs:
+    - column e of rows lists the n - h rows of [A^T; -A^T; 0] that entry e adds (for odd n
+      a low entry starts from the zero row, 2n);
+    - sign[e] is the product of the delta_j entry e picks, times Glynn's 2^(1-n) for a low
+      entry, so sign[hi] * sign[lo] is a vector's 2^(1-n) prod_k delta_k;
+    - hi, lo and signs are the entries and signs of x = 0 .. _BLOCK - 1 (bit j of x set
+      means delta_j = -1), at most 2^(n-1) of them.
+    The block x = s .. s + _BLOCK - 1, s a multiple of _BLOCK, is that template read from
+    the table shifted by s >> h for its high entries and by s mod 2^h for its low ones, with
+    -signs when popcount(s) is odd: as _BLOCK is a power of two, s and x - s share no set
+    bit, so each half of x is that of s plus that of x - s. It depends on n alone, so it is
+    read-only and cached.
     """
     h = n // 2
     bits = (np.arange(1 << h)[:, None] >> np.arange(h)) & 1
@@ -162,8 +149,15 @@ def _half_rows(n: int) -> NDArray[np.intp]:
     free = bits[:1 << (n - 1 - h), :n - 1 - h]
     high = np.hstack([np.arange(h, n - 1) + n * free, np.full((len(free), 1), n - 1)])
     rows = np.vstack([low, high]).T.copy()
-    rows.setflags(write=False)
-    return rows
+    picked = np.where(bits.sum(axis=1) & 1, -1.0, 1.0)  # a high entry's bits are its index's
+    sign = np.concatenate([picked * math.ldexp(1.0, 1 - n), picked[:len(free)]])
+    x = np.arange(min(_BLOCK, 1 << (n - 1)))
+    hi, lo = (x >> h) + (1 << h), x & ((1 << h) - 1)
+    signs = sign[hi] * sign[lo]
+    parts = rows, sign, hi, lo, signs, -signs
+    for part in parts:
+        part.setflags(write=False)
+    return parts
 
 
 def _add_terms(
@@ -217,7 +211,7 @@ def _walk(a: NDArray[np.complex128]) -> np.complex128 | NDArray[np.complex128]:
     if n > RYSER_DIM_LIMIT:
         raise SizeLimitError(f"exact permanent limited to dim <= {RYSER_DIM_LIMIT}, got {n}")
     table = a.transpose(2, 0, 1).reshape(n, k * n)  # row t: column t of each A_m in turn
-    rows = _half_rows(n)
+    rows, _, hi, lo, signs, negated = _half_rows(n)
     signed = np.multiply(table, _SIGNED).reshape(3 * n, k * n)  # [A^T; -A^T; 0]
     halves = np.empty((rows.shape[1], k * n), dtype=np.complex128)
     for start in range(0, len(halves), _BLOCK):  # the rows taken stay one block's worth
@@ -225,15 +219,18 @@ def _walk(a: NDArray[np.complex128]) -> np.complex128 | NDArray[np.complex128]:
                       out=halves[start:start + _BLOCK])
     if n > 1 and _is_circulant(a):
         orbits = _orbit_schedule(n)
-        blocks = ([part[start:start + _BLOCK] for part in orbits]
+        blocks = ((halves, halves, *(part[start:start + _BLOCK] for part in orbits))
                   for start in range(0, len(orbits[0]), _BLOCK))
-    else:
-        blocks = (_plain_block(n, start) for start in range(0, 1 << (n - 1), _BLOCK))
+    else:  # the template of _half_rows, its entries and signs shifted per block
+        h = n // 2
+        blocks = ((halves[start >> h:], halves[start & ((1 << h) - 1):], hi, lo,
+                   negated if start.bit_count() & 1 else signs)
+                  for start in range(0, 1 << (n - 1), len(hi)))
     total = 0j
-    for hi, lo, signs in blocks:
-        sums = halves.take(hi, axis=0)
-        sums += halves.take(lo, axis=0)
-        total = _add_terms(total, sums, signs, k, n)
+    for high_view, low_view, high, low, weights in blocks:
+        sums = high_view.take(high, axis=0)
+        sums += low_view.take(low, axis=0)
+        total = _add_terms(total, sums, weights, k, n)
     return total
 
 

@@ -19,7 +19,8 @@ from qufti import (
     permanent_ryser,
     permanent_with_repeats,
 )
-from qufti.permanent import _half_rows, _orbit_schedule, _plain_block, _walk
+from qufti import permanent
+from qufti.permanent import _half_rows, _orbit_schedule, _walk
 
 
 def random_unit_disk_matrix(rng, n):
@@ -226,23 +227,28 @@ def test_orbit_representatives_cover_each_sign_vector_once(n):
             assert owner.setdefault(y, x) == x
     assert sorted(owner) == list(range(1 << (n - 1)))
     assert sum(weight for _, weight in reps) == 1 << (n - 1)
-    # the kernel's cached schedules hold the same representatives, weights and signs, and
-    # a general matrix's every sign vector with weight 1, in blocks
+    # the cached orbit schedule holds the same representatives, weights and signs
     h = n // 2
-    plain = [_plain_block(n, start) for start in range(0, 1 << (n - 1), 1024)]
-    schedules = [_orbit_schedule(n), [np.concatenate(parts) for parts in zip(*plain)]]
-    for (hi, lo, signs), vectors in zip(schedules, (reps, every_sign_vector(n))):
-        assert ((hi - (1 << h)) << h | lo).tolist() == [x for x, _ in vectors]
-        expected = [(-1) ** bin(x).count("1") * w * 2.0 ** (1 - n) for x, w in vectors]
-        assert signs.tolist() == expected
-    rows = _half_rows(n)
+    hi, lo, signs = _orbit_schedule(n)
+    assert ((hi - (1 << h)) << h | lo).tolist() == [x for x, _ in reps]
+    assert signs.tolist() == [(-1) ** bin(x).count("1") * w * 2.0 ** (1 - n) for x, w in reps]
+    # and a general matrix's template, tiled over its blocks, every x < 2^(n-1) once, in
+    # increasing order, with weight 1
+    parts = _half_rows(n)
+    rows, _, hi, lo, plus, minus = parts
     assert rows.shape == (n - h, (1 << h) + (1 << (n - 1 - h)))
-    parts = [rows, *_orbit_schedule(n), *itertools.chain(*plain)]
-    assert not any(part.flags.writeable for part in parts)
+    xs, tiled = [], []
+    for start in range(0, 1 << (n - 1), len(hi)):
+        xs += ((hi + (start >> h) - (1 << h)) << h | lo + (start & ((1 << h) - 1))).tolist()
+        tiled += (minus if bin(start).count("1") % 2 else plus).tolist()
+    assert xs == list(range(1 << (n - 1)))
+    assert tiled == [(-1) ** bin(x).count("1") * 2.0 ** (1 - n) for x in xs]
+    assert not any(part.flags.writeable for part in [*parts, *_orbit_schedule(n)])
 
 
 @pytest.mark.parametrize("n", range(2, 15))
 def test_orbit_path_matches_gray_walk_on_random_circulants(n):
+    # the orbit sum against the step loop over every sign vector, and over the representatives
     rng = np.random.default_rng(6000 + n)
     m = random_circulant(rng, n)
     value = permanent_ryser(m)
@@ -274,20 +280,39 @@ def test_constant_diagonal_non_circulant_keeps_plain_schedule_bits(n):
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_ryser_cached_blocks_bit_identical_to_step_loop(n):
-    # the half-table rows are cached per n and the sign-vector blocks per (n, start): a
-    # cold call, and warm calls after walks of other sizes, give the step loop's bits (eye,
-    # ones and zeros are circulant, and their sums exact under either list of sign vectors)
+    # the half-sum table's rows and signs and the first block of sign vectors are cached per
+    # n: a cold call, and warm calls after walks of other sizes, give the step loop's bits
+    # (eye, ones and zeros are circulant, and their sums exact under either list of vectors)
     rng = np.random.default_rng(2000 + n)
     mats = [random_unit_disk_matrix(rng, n), np.eye(n), np.ones((n, n)), np.zeros((n, n))]
     expected = [glynn_step_loop(m, every_sign_vector(n)) for m in mats]
     _half_rows.cache_clear()
-    _plain_block.cache_clear()
     assert [permanent_ryser(m) for m in mats] == expected
     for other in (2, 7, 12):
         permanent_ryser(random_unit_disk_matrix(rng, other))
     assert [permanent_ryser(m) for m in mats] == expected
     for value, m in zip(expected, mats):
         assert_matches_ryser(value, m)
+
+
+@pytest.mark.parametrize("block", [2, 4, 8])
+def test_small_blocks_keep_step_loop_bits(block, monkeypatch):
+    # blocks of 2, 4 or 8 sign vectors: a general matrix's blocks start at odd-parity x and,
+    # from n = 2 log2(block) + 2 on, lie within one high half-sum entry, most at a nonzero
+    # low offset (the shape of the default 1024 from n = 22 on); the caches are rebuilt
+    # either side
+    rng = np.random.default_rng(8000 + block)
+    monkeypatch.setattr(permanent, "_BLOCK", block)
+    _half_rows.cache_clear()
+    _orbit_schedule.cache_clear()
+    try:
+        for n in range(1, 14):
+            m, c = random_unit_disk_matrix(rng, n), random_circulant(rng, n)
+            assert permanent_ryser(m) == glynn_step_loop(m, every_sign_vector(n))
+            assert permanent_ryser(c) == glynn_step_loop(c, orbit_representatives(n))
+    finally:
+        _half_rows.cache_clear()
+        _orbit_schedule.cache_clear()
 
 
 @pytest.mark.parametrize("n", [4, 7, 8, 9, 12, 13])

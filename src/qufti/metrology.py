@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +187,20 @@ def noon_dephased_sensitivity(
     return _sensitivity(n_photons, p, dp, sin, d, 1.0 / n_photons, 1.0)
 
 
+def _outcomes(n: int) -> Iterator[tuple[tuple[int, ...], float]]:
+    """Every occupation of n photons in n modes, in combinations_with_replacement order, with
+    its prod_k s_k! as a float product taken in mode order."""
+    factorial = [math.factorial(s) for s in range(n + 1)]
+    for placement in itertools.combinations_with_replacement(range(n), n):
+        occ = [0] * n
+        for mode in placement:
+            occ[mode] += 1
+        norm = 1.0
+        for s in occ:
+            norm *= factorial[s]
+        yield tuple(occ), norm
+
+
 def fock_output_distribution(spec: InterferometerSpec) -> OutcomeDistribution:
     """Full output distribution over photon-count patterns.
 
@@ -200,17 +215,7 @@ def fock_output_distribution(spec: InterferometerSpec) -> OutcomeDistribution:
             f"distribution enumeration limited to n <= {DISTRIBUTION_MODE_LIMIT}, got {n}"
         )
     u = compose_qufti(spec)
-    factorial = [math.factorial(s) for s in range(n + 1)]
-    entries = []
-    for placement in itertools.combinations_with_replacement(range(n), n):
-        occ = [0] * n
-        for mode in placement:
-            occ[mode] += 1
-        amp = permanent_with_repeats(u, occ)
-        norm = 1.0
-        for s in occ:
-            norm *= factorial[s]
-        entries.append((tuple(occ), abs(amp) ** 2 / norm))
+    entries = [(occ, abs(permanent_with_repeats(u, occ)) ** 2 / norm) for occ, norm in _outcomes(n)]
     return OutcomeDistribution(n=n, entries=entries)
 
 

@@ -15,17 +15,21 @@ sums from two tables of half sums, one add per row sum, and inputs differ
 only in the list of sign vectors it sums. Each table entry carries the sign
 of the half it stands for, so a vector's sign is a product of two. A
 general matrix takes all 2^(n-1), each of weight 1, as one cached block
-read at a shifted offset into the tables and negated where the block's
-start has odd parity. A circulant matrix, as every QuFTI unitary V D V+
-is, has the same summand on all rotations and negations of a sign vector
-(Glynn, Eur. J. Combin. 31, 2010), so it takes one vector per orbit, about
-2^(n-1) / n of them, each weighted by its orbit's share.
+whose table entries are shifted per block and whose signs are negated where
+the block's start has odd parity. A circulant matrix, as every QuFTI
+unitary V D V+ is, has the same summand on all rotations and negations of a
+sign vector (Glynn, Eur. J. Combin. 31, 2010), so it takes one vector per
+orbit, about 2^(n-1) / n of them, each weighted by its orbit's share.
 
-The walk returns Per itself: the cached signs carry Glynn's 2^(1-n), a
-power of two per term (times a small integer weight for an orbit), exact in
-the normal float range. The summation order is fixed, so results are
-bit-reproducible run-to-run on the same platform. A permanent that
-overflows comes back inf or nan, without a warning.
+The sign vectors run along the last axis: a block's row sums are n rows of
+one entry per vector, so each product is n - 1 of numpy's vectorised binary
+complex multiplies down the rows. The walk returns Per itself: the cached
+signs carry Glynn's 2^(1-n), a power of two per term (times a small integer
+weight for an orbit), exact in the normal float range. The summation order
+is fixed, so results are bit-reproducible run-to-run on one machine. The
+last bits follow numpy's complex multiply loop, which uses FMA under its
+AVX2 and AVX-512 dispatch and not under the X86_V2 baseline. A permanent
+that overflows comes back inf or nan, without a warning.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,8 +61,8 @@ _BLOCK = 1024
 # Sign vectors scanned per chunk while an orbit schedule is built.
 _SCAN = 1 << 16
 
-# The multiples of a column that half sums add: +1, -1 and, for odd n, 0 (row 2n).
-_SIGNED = np.array([1, -1, 0], dtype=np.complex128).reshape(3, 1, 1)
+# The multiples of a row's entries that half sums add: +1, -1 and, for odd n, 0 (column 2n).
+_SIGNED = np.array([1, -1, 0], dtype=np.complex128).reshape(3, 1)
 _SIGNED.setflags(write=False)
 
 
@@ -91,14 +96,15 @@ def permanent_naive(m: NDArray[np.complex128]) -> complex:
 @functools.lru_cache(maxsize=8)
 def _orbit_schedule(
     n: int,
-) -> tuple[NDArray[np.int32], NDArray[np.int32], NDArray[np.float64]]:
+) -> tuple[tuple[NDArray[np.int32], NDArray[np.int32], NDArray[np.float64]], ...]:
     """One sign vector per orbit of rotation and negation, for Glynn's sum over a circulant.
 
     On a circulant the summand is the same over an orbit, of which n / |stabilizer| vectors
     have delta_n = +1; the orbit's smallest x stands for them. The candidates are scanned
     _SCAN at a time, and each rotation drops those it beats before the next one is tried.
     Returns the representatives' half-sum table entries hi and lo (see _half_rows), in
-    increasing x, and their signs weighted n / |stabilizer|. It is read-only and cached per n.
+    increasing x, and their signs weighted n / |stabilizer|, as the walk's blocks of _BLOCK
+    vectors. It is read-only and cached per n.
     """
     h, full = n // 2, (1 << n) - 1
     sign = _half_rows(n)[1]
@@ -114,10 +120,11 @@ def _orbit_schedule(
             x, stab = x[keep], stab[keep]
         hi, lo = (x >> h) + (1 << h), x & ((1 << h) - 1)
         found.append((hi.astype(np.int32), lo.astype(np.int32), sign[hi] * sign[lo] * (n / stab)))
-    schedule = tuple(np.concatenate(parts) for parts in zip(*found))
-    for part in schedule:
+    hi, lo, weights = (np.concatenate(parts) for parts in zip(*found))
+    for part in (hi, lo, weights):
         part.setflags(write=False)
-    return schedule
+    return tuple((hi[s:s + _BLOCK], lo[s:s + _BLOCK], weights[s:s + _BLOCK])
+                 for s in range(0, len(hi), _BLOCK))
 
 
 @functools.lru_cache(maxsize=RYSER_DIM_LIMIT)
@@ -131,17 +138,16 @@ def _half_rows(
     h) and a high half (the rest; column n - 1 keeps +1). The table holds every choice of
     signs of each half, low entries first, so one entry of each added gives any vector's
     row sums. Returns rows, sign, hi, lo, signs and -signs:
-    - column e of rows lists the n - h rows of [A^T; -A^T; 0] that entry e adds (for odd n
-      a low entry starts from the zero row, 2n);
+    - column e of rows lists the n - h columns of [A, -A, 0] that entry e adds (for odd n
+      a low entry starts from the zero column, 2n);
     - sign[e] is the product of the delta_j entry e picks, times Glynn's 2^(1-n) for a low
       entry, so sign[hi] * sign[lo] is a vector's 2^(1-n) prod_k delta_k;
     - hi, lo and signs are the entries and signs of x = 0 .. _BLOCK - 1 (bit j of x set
       means delta_j = -1), at most 2^(n-1) of them.
-    The block x = s .. s + _BLOCK - 1, s a multiple of _BLOCK, is that template read from
-    the table shifted by s >> h for its high entries and by s mod 2^h for its low ones, with
-    -signs when popcount(s) is odd: as _BLOCK is a power of two, s and x - s share no set
-    bit, so each half of x is that of s plus that of x - s. It depends on n alone, so it is
-    read-only and cached.
+    The block x = s .. s + _BLOCK - 1, s a multiple of _BLOCK, is that template with s >> h
+    added to its high entries and s mod 2^h to its low ones, with -signs when popcount(s) is
+    odd: as _BLOCK is a power of two, s and x - s share no set bit, so each half of x is
+    that of s plus that of x - s. It depends on n alone, so it is read-only and cached.
     """
     h = n // 2
     bits = (np.arange(1 << h)[:, None] >> np.arange(h)) & 1
@@ -160,6 +166,20 @@ def _half_rows(
     return parts
 
 
+def _plain_blocks(
+    n: int,
+) -> Iterator[tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64]]]:
+    """Every sign vector x < 2^(n-1), each of weight 1, as the walk's blocks: the template of
+    _half_rows (x = 0 .. _BLOCK - 1, all of them up to n = 11), then that template with its
+    entries shifted and its signs flipped for each later block."""
+    _, _, hi, lo, signs, negated = _half_rows(n)
+    yield hi, lo, signs
+    h = n // 2
+    for start in range(len(hi), 1 << (n - 1), len(hi)):
+        yield (hi + (start >> h), lo + (start & ((1 << h) - 1)),
+               negated if start.bit_count() & 1 else signs)
+
+
 def _add_terms(
     total: complex | NDArray[np.complex128],
     sums: NDArray[np.complex128],
@@ -167,15 +187,15 @@ def _add_terms(
     k: int,
     n: int,
 ) -> np.complex128 | NDArray[np.complex128]:
-    """total plus Glynn's terms for a block of row sums, one row of sums per sign vector:
+    """total plus Glynn's terms for a block of row sums, one column of sums per sign vector:
     each the product of its n row sums times its sign, added in order. For k > 1 the row
     sums are polynomials in t, multiplied by a truncated product rule."""
     if k == 1:
-        # the ufunc reduce np.prod wraps, without its per-call dispatch
-        terms = np.multiply.reduce(sums, axis=1)
+        # row by row, each a binary complex multiply along the block
+        terms = np.multiply.reduce(sums, axis=0)
         terms *= signs  # 2^(1-n) prod_k delta_k, times an orbit's weight
     else:
-        s = sums.reshape(-1, k, n).T  # s[i, m]: row sum i's t^m coefficients
+        s = sums.reshape(k, n, -1).swapaxes(0, 1)  # s[i, m]: row sum i's t^m coefficients
         p = s[0] * signs
         for i in range(1, n):
             for m in range(k - 1, -1, -1):  # lower orders are still the old ones
@@ -210,26 +230,17 @@ def _walk(a: NDArray[np.complex128]) -> np.complex128 | NDArray[np.complex128]:
     k, n, _ = a.shape
     if n > RYSER_DIM_LIMIT:
         raise SizeLimitError(f"exact permanent limited to dim <= {RYSER_DIM_LIMIT}, got {n}")
-    table = a.transpose(2, 0, 1).reshape(n, k * n)  # row t: column t of each A_m in turn
-    rows, _, hi, lo, signs, negated = _half_rows(n)
-    signed = np.multiply(table, _SIGNED).reshape(3 * n, k * n)  # [A^T; -A^T; 0]
-    halves = np.empty((rows.shape[1], k * n), dtype=np.complex128)
-    for start in range(0, len(halves), _BLOCK):  # the rows taken stay one block's worth
-        np.add.reduce(signed.take(rows[:, start:start + _BLOCK], axis=0), axis=0,
-                      out=halves[start:start + _BLOCK])
-    if n > 1 and _is_circulant(a):
-        orbits = _orbit_schedule(n)
-        blocks = ((halves, halves, *(part[start:start + _BLOCK] for part in orbits))
-                  for start in range(0, len(orbits[0]), _BLOCK))
-    else:  # the template of _half_rows, its entries and signs shifted per block
-        h = n // 2
-        blocks = ((halves[start >> h:], halves[start & ((1 << h) - 1):], hi, lo,
-                   negated if start.bit_count() & 1 else signs)
-                  for start in range(0, 1 << (n - 1), len(hi)))
+    rows = _half_rows(n)[0]
+    signed = (a.reshape(k * n, 1, n) * _SIGNED).reshape(k * n, 3 * n)  # rows of [A, -A, 0]
+    halves = np.empty((k * n, rows.shape[1]), dtype=np.complex128)
+    for start in range(0, rows.shape[1], _BLOCK):  # the columns taken stay one block's worth
+        np.add.reduce(signed.take(rows[:, start:start + _BLOCK], axis=1), axis=1,
+                      out=halves[:, start:start + _BLOCK])
+    blocks = _orbit_schedule(n) if n > 1 and _is_circulant(a) else _plain_blocks(n)
     total = 0j
-    for high_view, low_view, high, low, weights in blocks:
-        sums = high_view.take(high, axis=0)
-        sums += low_view.take(low, axis=0)
+    for high, low, weights in blocks:
+        sums = halves.take(high, axis=1)  # (k n, block): a sign vector's row sums per column
+        sums += halves.take(low, axis=1)
         total = _add_terms(total, sums, weights, k, n)
     return total
 
@@ -261,6 +272,7 @@ def permanent_with_repeats(
     mult = list(col_multiplicities)
     if len(mult) != n or not all(isinstance(s, (int, np.integer)) and s >= 0 for s in mult):
         raise ValueError(f"multiplicities must be {n} non-negative integers")
-    if sum(mult) != n:
-        raise ValueError(f"multiplicities sum to {sum(mult)}, expected {n}")
+    total = sum(mult)
+    if total != n:
+        raise ValueError(f"multiplicities sum to {total}, expected {n}")
     return permanent_ryser(np.repeat(m, mult, axis=1))

@@ -27,7 +27,7 @@ from qufti import (
     sensitivity_for_mask,
     shotnoise_limit,
 )
-from qufti.metrology import dephased_derivative
+from qufti.metrology import _outcomes, dephased_derivative
 
 
 def test_small_angle_values():
@@ -300,6 +300,18 @@ def test_distribution_n8_normalization_and_all_ones():
 def test_distribution_size_guard():
     with pytest.raises(SizeLimitError):
         fock_output_distribution(InterferometerSpec(n=10, phi=0.1))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_outcome_table_matches_enumeration(n):
+    # the occupations and their prod_k s_k!, in the order the distribution lists them
+    expected = []
+    for placement in itertools.combinations_with_replacement(range(n), n):
+        occ = tuple(placement.count(k) for k in range(n))
+        expected.append((occ, float(math.prod(math.factorial(s) for s in occ))))
+    assert list(_outcomes(n)) == expected
+    dist = fock_output_distribution(InterferometerSpec(n=n, phi=0.4))
+    assert [occ for occ, _ in dist.entries] == [occ for occ, _ in expected]
 
 
 def test_mask_sensitivity_gradient_consistency():

@@ -5,6 +5,10 @@ import functools
 import itertools
 import math
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,12 +136,18 @@ def every_sign_vector(n):
     return [(x, 1) for x in range(1 << (n - 1))]
 
 
-def glynn_step_loop(m, vectors):
+def kernel_product(row_sums):
+    """The product of one vector's row sums as the kernel takes it: numpy's binary complex
+    multiply, one row sum at a time (with FMA where the CPU's SIMD loop uses it)."""
+    return functools.reduce(np.multiply, row_sums[:, None])[0]
+
+
+def glynn_step_loop(m, vectors, product=kernel_product):
     """Bit reference: Glynn's sum over the given (x, weight) list, one sign vector at a time.
 
     Bit j of x set means delta_j = -1. Each vector's row sums add two halves: its signed
     columns below n // 2 (after a zero for odd n) and the rest, column by column, in the
-    kernel's order.
+    kernel's order. product multiplies the n row sums.
     """
     n = m.shape[0]
     a = np.ascontiguousarray(m, dtype=np.complex128)
@@ -148,7 +158,7 @@ def glynn_step_loop(m, vectors):
         low = functools.reduce(operator.add, [np.zeros(n, dtype=complex)] * (n % 2) + signed[:h])
         high = functools.reduce(operator.add, signed[h:])
         sign = -1.0 if bin(x).count("1") % 2 else 1.0
-        total += complex(np.prod(high + low)) * (sign * weight * math.ldexp(1.0, 1 - n))
+        total += complex(product(high + low)) * (sign * weight * math.ldexp(1.0, 1 - n))
     return total
 
 
@@ -185,6 +195,46 @@ def test_ryser_bit_identical_to_step_loop(n):
     value = permanent_ryser(m)
     assert value == glynn_step_loop(m, every_sign_vector(n))
     assert_matches_ryser(value, m)
+
+
+WITHOUT_FMA_CHECK = """
+import sys
+import numpy as np
+sys.path[:0] = sys.argv[1:]
+from qufti import permanent_ryser
+from test_permanent import (every_sign_vector, glynn_step_loop, orbit_representatives,
+                            random_circulant, random_unit_disk_matrix)
+rng = np.random.default_rng(9000)
+checks = [(random_unit_disk_matrix(rng, 7), every_sign_vector(7)),
+          (random_circulant(rng, 12), orbit_representatives(12))]
+for n in range(1, 14):  # the matrices of test_ryser_bit_identical_to_step_loop
+    checks.append((random_unit_disk_matrix(np.random.default_rng(1000 + n), n),
+                   every_sign_vector(n)))
+for m, vectors in checks:
+    assert permanent_ryser(m) == glynn_step_loop(m, vectors, product=np.prod), len(m)
+"""
+
+
+def numpy_baseline():
+    """The CPU features numpy's build assumes, by numpy's names: X86_V2 on x86-64 from numpy
+    2.4 on, which earlier numpy and other CPUs do not name."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_baseline__
+    except ImportError:
+        return []
+    return __cpu_baseline__
+
+
+@pytest.mark.skipif("X86_V2" not in numpy_baseline(),
+                    reason="needs numpy >= 2.4 on x86-64, whose baseline dispatch is X86_V2")
+def test_kernel_gives_prod_bits_under_baseline_dispatch():
+    # numpy's X86_V2 loops have no FMA, so the binary complex multiply rounds as np.prod's
+    # reduce loop does: a general n = 7 matrix, a circulant n = 12 one and the general
+    # n = 1..13 matrices that test_ryser_bit_identical_to_step_loop pins get those bits
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "NPY_ENABLE_CPU_FEATURES": "X86_V2"}
+    subprocess.run([sys.executable, "-c", WITHOUT_FMA_CHECK, str(here), str(here.parent / "src")],
+                   env=env, check=True)
 
 
 def circulant(first):
@@ -227,9 +277,11 @@ def test_orbit_representatives_cover_each_sign_vector_once(n):
             assert owner.setdefault(y, x) == x
     assert sorted(owner) == list(range(1 << (n - 1)))
     assert sum(weight for _, weight in reps) == 1 << (n - 1)
-    # the cached orbit schedule holds the same representatives, weights and signs
+    # the cached orbit schedule holds the same representatives, weights and signs, in blocks
     h = n // 2
-    hi, lo, signs = _orbit_schedule(n)
+    blocks = _orbit_schedule(n)
+    assert [len(block[0]) for block in blocks[:-1]] == [permanent._BLOCK] * (len(blocks) - 1)
+    hi, lo, signs = map(np.concatenate, zip(*blocks))
     assert ((hi - (1 << h)) << h | lo).tolist() == [x for x, _ in reps]
     assert signs.tolist() == [(-1) ** bin(x).count("1") * w * 2.0 ** (1 - n) for x, w in reps]
     # and a general matrix's template, tiled over its blocks, every x < 2^(n-1) once, in
@@ -243,7 +295,7 @@ def test_orbit_representatives_cover_each_sign_vector_once(n):
         tiled += (minus if bin(start).count("1") % 2 else plus).tolist()
     assert xs == list(range(1 << (n - 1)))
     assert tiled == [(-1) ** bin(x).count("1") * 2.0 ** (1 - n) for x in xs]
-    assert not any(part.flags.writeable for part in [*parts, *_orbit_schedule(n)])
+    assert not any(part.flags.writeable for part in [*parts, *itertools.chain(*blocks)])
 
 
 @pytest.mark.parametrize("n", range(2, 15))

@@ -10,6 +10,7 @@ the coincidence probability and an analytic derivative.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -39,7 +40,13 @@ def _result(x):
 
 
 def _phase(n: int, phi: float | np.ndarray) -> float | np.ndarray:
-    """n phi, or a ValueError naming the first phi at which it is not finite."""
+    """n phi, or a ValueError naming the first phi at which it is not finite; a float phi
+    gives a float."""
+    if type(phi) is float:
+        x = n * phi
+        if not math.isfinite(x):
+            raise ValueError(f"{n} * phi must be finite, got phi = {phi!r}")
+        return x
     phi = np.asarray(phi, dtype=float)
     with np.errstate(over="ignore"):
         x = n * phi
@@ -68,15 +75,19 @@ def permanent_closed_form(n: int, phi: float) -> complex:
 
     Each factor is divided by n as it is accumulated, keeping intermediate
     magnitudes O(1) instead of forming n^{n-1} explicitly. n = 1 is the
-    empty product, 1.
+    empty product, 1. The loop runs in Python complex; it divides by n as
+    numpy's complex division does, each part times 1.0 / n, so it has the
+    bits of a loop over numpy complex scalars.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    z = np.exp(1j * _phase(n, phi))
+    z = cmath.exp(1j * _phase(n, phi))
+    scale = 1.0 / n
     result = 1 + 0j
     for j in range(1, n):
-        result *= (j * z + (n - j)) / n
-    return complex(result)
+        factor = j * z + (n - j)
+        result *= complex(factor.real * scale, factor.imag * scale)
+    return result
 
 
 def coincidence_probability(

@@ -4,10 +4,11 @@ The interferometer is U = V . D . V+, where V is the n-mode quantum
 Fourier transform matrix and D the diagonal phase mask. Mode j (0-based)
 picks up phase weights[j] * phi; the default weights are the linear
 gradient 0, 1, ..., n-1 of the paper's device. U is circulant for any
-weights, so it is built from one row, the DFT of the mask, and comes out
-circulant bit for bit, which the permanent kernel's orbit sum needs. The
-tests cross-check it against the matrix product and against a
-closed-form expression for the entries of U under the gradient.
+weights, so it is built from one row, the DFT of the mask (one product with
+a cached DFT matrix), and comes out circulant bit for bit, which the
+permanent kernel's orbit sum needs. The tests cross-check it against the
+matrix product and against a closed-form expression for the entries of U
+under the gradient.
 """
 
 from __future__ import annotations
@@ -59,9 +60,17 @@ def qft_matrix(n: int) -> NDArray[np.complex128]:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
+@functools.lru_cache(maxsize=32)
+def _gradient(n: int) -> NDArray[np.float64]:
+    """The default weights 0, 1, ..., n-1, read-only and cached."""
+    w = np.arange(n, dtype=np.float64)
+    w.setflags(write=False)
+    return w
+
+
 def phase_vector(spec: InterferometerSpec) -> NDArray[np.complex128]:
     """Diagonal of the phase mask, exp(i weights[j] phi), as unit-modulus amplitudes."""
-    w = np.arange(spec.n) if spec.weights is None else np.asarray(spec.weights, dtype=float)
+    w = _gradient(spec.n) if spec.weights is None else np.asarray(spec.weights, dtype=float)
     return np.exp(1j * (w * spec.phi))
 
 
@@ -74,15 +83,28 @@ def _rotations(n: int) -> NDArray[np.intp]:
     return index
 
 
+@functools.lru_cache(maxsize=32)
+def _dft(n: int) -> NDArray[np.complex128]:
+    """e^(-2 pi i (n - 1 - m) l / n) / n at [m, l], read-only and cached: the forward DFT over n
+    with its rows reversed, so d @ _dft(n) is the DFT of the reversed d. The exponent is
+    reduced mod n to -n/2 .. n/2 before the angle is formed, which keeps each twiddle within a
+    few ulp."""
+    m = np.arange(n)
+    exponent = (m[::-1, None] * m + n // 2) % n - n // 2
+    dft = np.exp(-2j * np.pi / n * exponent) / n
+    dft.setflags(write=False)
+    return dft
+
+
 def _circulant(d: NDArray[np.complex128]) -> NDArray[np.complex128]:
     """V . diag(d) . V+ for each phase-mask diagonal d[..., :], circulant bit for bit.
 
     With 1-based V, (V D V+)[j, l] = (1/n) sum_m d_m w^((l - j) m), m = 1..n, w = e^(2 pi i/n),
     and w^((l - j) m) = w^(-(l - j)(n - m)), so row 0 is the DFT of the reversed mask over n,
-    and row j is row 0 rotated by j. numpy.fft loads on first use.
+    one product with the cached _dft(n), and row j is row 0 rotated by j.
     """
-    first = np.fft.fft(d[..., ::-1], norm="forward")
-    return first[..., _rotations(d.shape[-1])]
+    n = d.shape[-1]
+    return (d @ _dft(n))[..., _rotations(n)]
 
 
 def compose_qufti(spec: InterferometerSpec) -> NDArray[np.complex128]:

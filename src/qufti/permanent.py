@@ -29,7 +29,11 @@ weight for an orbit), exact in the normal float range. The summation order
 is fixed, so results are bit-reproducible run-to-run on one machine. The
 last bits follow numpy's complex multiply loop, which uses FMA under its
 AVX2 and AVX-512 dispatch and not under the X86_V2 baseline. A permanent
-that overflows comes back inf or nan, without a warning.
+that overflows comes back inf or nan, without a warning. numpy's error state
+is set for that only when the input could overflow a step of the walk: when
+the sum S^2 of the squared moduli of its entries is inf, nan or so large that
+2^(n+k) n (n S)^n, a bound on every half sum, row sum, product, Taylor
+coefficient and running total, could pass 2^1020.
 """
 
 from __future__ import annotations
@@ -37,10 +41,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
+
+from .matrices import _rotations
 
 
 class SizeLimitError(ValueError):
@@ -212,24 +219,49 @@ def _is_circulant(a: NDArray[np.complex128]) -> bool:
     A[i, j] is A[0, (j - i) mod n]."""
     return bool(
         a[0, 1, 1] == a[0, 0, 0]  # one entry first: most other matrices fail here
-        and a[:, 1:, 1:].tobytes() == a[:, :-1, :-1].tobytes()  # constant diagonals,
-        and a[:, 1:, 0].tobytes() == a[:, :-1, -1].tobytes()  # which wrap around
+        and a.tobytes() == a[:, 0].take(_rotations(a.shape[-1]), axis=-1).tobytes()
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing Per comes back inf or nan
+@functools.lru_cache(maxsize=4 * RYSER_DIM_LIMIT)
+def _quiet_limit(n: int, k: int) -> float:
+    """The largest sum of squared moduli S^2 over a (k, n, n) stack at which no step of the
+    walk can overflow. Every entry's modulus is at most S, so a half sum or a row sum is at
+    most n S, a product of n row sums or any of its Taylor coefficients at most
+    2^(n+k) (n S)^n, and the running total n times that: all kept below 2^1020. The bound
+    is loose, but S^2 = n for a unitary, far below it (2^55 at n = 30)."""
+    exponent = 2 * ((1020 - n - k - math.log2(n)) / n - math.log2(n))
+    return 2.0 ** min(exponent, 1023)  # for n = 1 and 2 it would pass the float range
+
+
 def _walk(a: NDArray[np.complex128]) -> np.complex128 | NDArray[np.complex128]:
     """Per(A_0 + t A_1 + ... + t^(k-1) A_(k-1)) to order t^(k-1) for the (k, n, n) stack a,
     as k coefficients (a scalar for k = 1).
+
+    An overflowing Per comes back inf or nan without a warning. numpy's error state, which
+    costs every ufunc call, is set for that only when the stack's sum of squared moduli
+    passes _quiet_limit or is inf or nan. That sum is one BLAS product, which raises no
+    warning where it overflows, as |z| of an entry near the float maximum would.
+    """
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    k, n, _ = a.shape
+    if n > RYSER_DIM_LIMIT:
+        raise SizeLimitError(f"exact permanent limited to dim <= {RYSER_DIM_LIMIT}, got {n}")
+    if np.vdot(a, a).real <= _quiet_limit(n, k):
+        return _glynn_sum(a, k, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _glynn_sum(a, k, n)
+
+
+def _glynn_sum(
+    a: NDArray[np.complex128], k: int, n: int
+) -> np.complex128 | NDArray[np.complex128]:
+    """_walk's sum for the contiguous (k, n, n) stack a.
 
     Glynn's sum takes one sign vector per rotation orbit if every A_m is circulant, and all
     2^(n-1) otherwise. Each one's row sums are one entry of each half of the half-sum table
     added: one add per row sum, nothing carried from one vector to the next.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    k, n, _ = a.shape
-    if n > RYSER_DIM_LIMIT:
-        raise SizeLimitError(f"exact permanent limited to dim <= {RYSER_DIM_LIMIT}, got {n}")
     rows = _half_rows(n)[0]
     signed = (a.reshape(k * n, 1, n) * _SIGNED).reshape(k * n, 3 * n)  # rows of [A, -A, 0]
     halves = np.empty((k * n, rows.shape[1]), dtype=np.complex128)
@@ -269,8 +301,11 @@ def permanent_with_repeats(
     all-ones reduces to permanent_ryser on the original matrix.
     """
     n = _check_square(m)
-    mult = list(col_multiplicities)
-    if len(mult) != n or not all(isinstance(s, (int, np.integer)) and s >= 0 for s in mult):
+    try:
+        mult = list(map(operator.index, col_multiplicities))
+    except TypeError:  # a float, a string or a numpy bool
+        mult = None
+    if mult is None or len(mult) != n or min(mult, default=0) < 0:
         raise ValueError(f"multiplicities must be {n} non-negative integers")
     total = sum(mult)
     if total != n:

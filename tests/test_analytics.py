@@ -17,6 +17,7 @@ from qufti import (
     permanent_ryser,
     probability_derivative,
 )
+from qufti.analytics import _phase
 
 phis = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -46,6 +47,32 @@ def test_closed_form_n3():
 def test_closed_form_rejects_overflowing_phase():
     with pytest.raises(ValueError, match=r"3 \* phi must be finite, got phi = 1e\+308"):
         permanent_closed_form(3, 1e308)
+
+
+def numpy_scalar_closed_form(n, phi):
+    """The product form as a loop over numpy 0-d complex scalars: the reference bits."""
+    z = np.exp(1j * (n * np.asarray(phi, dtype=float)))
+    result = 1 + 0j
+    for j in range(1, n):
+        result *= (j * z + (n - j)) / n
+    return complex(result)
+
+
+def test_closed_form_bit_identical_to_numpy_scalar_loop():
+    # the Python complex loop divides by n as numpy's complex division does, part by part
+    extra = [-0.0, math.pi, -math.pi / 3, 1e-300, 5e-324, 1e300 / 30, -7.25]
+    for n in range(1, 31):
+        for phi in [*np.linspace(0.0, 2 * np.pi, 64, endpoint=False).tolist(), *extra]:
+            got, want = permanent_closed_form(n, phi), numpy_scalar_closed_form(n, phi)
+            assert np.array([got]).tobytes() == np.array([want]).tobytes(), (n, phi)
+
+
+def test_phase_of_a_float_is_a_float_and_the_array_value():
+    assert type(_phase(7, 0.3)) is float
+    assert _phase(7, 0.3) == float(_phase(7, np.float64(0.3))) == 7 * 0.3
+    for phi in (1e308, np.float64(1e308), np.array([0.0, 1e308])):
+        with pytest.raises(ValueError, match=r"^3 \* phi must be finite, got phi = 1e\+308$"):
+            _phase(3, phi)
 
 
 def test_conjecture_small_grid():

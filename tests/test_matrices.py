@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qufti import InterferometerSpec, compose_qufti, qft_matrix
-from qufti.matrices import _rotations, phase_vector
+from qufti.matrices import _dft, _gradient, _rotations, phase_vector
 
 # Denominator modulus below which the closed-form entry is treated as 0/0.
 SINGULAR_TOL = 1e-14
@@ -159,17 +159,44 @@ def test_compose_identity_at_zero_phase():
         np.testing.assert_allclose(u, np.eye(n), atol=1e-12)
 
 
-def test_compose_bit_identical_to_fft_of_reversed_mask():
-    # row 0 of U is the DFT of the reversed mask over n, and row j is row 0 rotated by j
+def test_compose_bit_identical_to_product_with_reversed_dft():
+    # row 0 of U is the mask times the forward DFT over n with its rows reversed, one matrix
+    # product, its twiddles formed from m l reduced mod n to -n/2 .. n/2; row j is row 0
+    # rotated by j
     rng = np.random.default_rng(24)
     for n in range(1, 25):
+        m = np.arange(n)
+        dft = np.exp(-2j * np.pi / n * ((m[:, None] * m + n // 2) % n - n // 2)) / n
+        reversed_dft = np.ascontiguousarray(dft[::-1])
+        assert _dft(n).tobytes() == reversed_dft.tobytes()
         weights = tuple(float(w) for w in rng.uniform(-3.0, 3.0, n))
         cases = [{"phi": phi} for phi in (0.0, 0.3, -2.9, 1e-9)] + [{"phi": 1.1, "weights": weights}]
         for fields in cases:
             spec = InterferometerSpec(n=n, **fields)
-            first = np.fft.fft(phase_vector(spec)[::-1], norm="forward")
+            first = phase_vector(spec) @ reversed_dft
             fresh = np.array([np.roll(first, j) for j in range(n)])
             assert compose_qufti(spec).tobytes() == fresh.tobytes(), (n, fields)
+
+
+def test_cached_dft_is_read_only_and_accurate():
+    # every twiddle is within two ulp of 1 of e^(-2 pi i k / n) / n in 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    for n in (1, 2, 3, 7, 12, 30):
+        dft = _dft(n)
+        with pytest.raises(ValueError):
+            dft[0, 0] = 0
+        with mpmath.workdps(40):
+            for m in range(n):
+                for col in range(n):
+                    exact = mpmath.expj(-2 * mpmath.pi * ((n - 1 - m) * col % n) / n) / n
+                    assert abs(complex(exact) - dft[m, col]) <= 4.5e-16 / n, (n, m, col)
+
+
+def test_gradient_phase_vector_reads_a_cached_read_only_gradient():
+    spec = InterferometerSpec(n=5, phi=0.3)
+    assert phase_vector(spec).tobytes() == np.exp(1j * (np.arange(5) * 0.3)).tobytes()
+    with pytest.raises(ValueError):
+        _gradient(5)[0] = 1.0
 
 
 def test_cached_rotations_are_read_only():

@@ -125,6 +125,70 @@ def test_overflowing_permanent_is_non_finite_without_warning():
         assert not cmath.isfinite(permanent_naive(m))
 
 
+def spy_on_errstate(monkeypatch):
+    """Record each np.errstate the kernel enters."""
+    calls, errstate = [], np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: calls.append(kw) or errstate(**kw))
+    return calls
+
+
+def test_quiet_limit_keeps_every_step_below_the_float_maximum():
+    # 2^(n+k) n (n S)^n, the bound on the walk's largest intermediate, at S^2 = the limit
+    for n in range(1, 31):
+        for k in (1, 2, 3):
+            s = math.sqrt(permanent._quiet_limit(n, k))
+            assert n + k + math.log2(n) + n * math.log2(n * s) <= 1020 + 1e-9
+
+
+def equal_entries(n, squares):
+    """The n x n matrix of equal entries x (1 + i) whose squared moduli sum to squares: its
+    row sums, all n x (1 + i) for delta = +1, are the largest the sum allows."""
+    return np.full((n, n), math.sqrt(squares / 2) / n * (1 + 1j))
+
+
+@pytest.mark.parametrize("n", [2, 7, 12])
+def test_walk_just_below_the_bound_skips_errstate_and_keeps_its_bits(n, monkeypatch):
+    # pytest turns an overflow warning into an error, and forcing the error state must not
+    # move a bit
+    rng = np.random.default_rng(n)
+    top = permanent._quiet_limit(n, 1)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (n, n)))
+    for m in (equal_entries(n, top * (1 - 1e-12)), np.sqrt(top * (1 - 1e-12) / n**2) * phases):
+        assert np.vdot(m, m).real <= top
+        calls = spy_on_errstate(monkeypatch)
+        quiet = permanent_ryser(m)
+        assert calls == [] and cmath.isfinite(quiet)
+        monkeypatch.setattr(permanent, "_quiet_limit", lambda n, k: -math.inf)
+        assert permanent_ryser(m) == quiet and len(calls) == 1
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [2, 7, 12])
+def test_walk_just_above_the_bound_takes_errstate_and_keeps_its_bits(n, monkeypatch):
+    m = equal_entries(n, np.nextafter(permanent._quiet_limit(n, 1), np.inf) * (1 + 1e-15))
+    assert np.vdot(m, m).real > permanent._quiet_limit(n, 1)
+    calls = spy_on_errstate(monkeypatch)
+    loud = permanent_ryser(m)
+    assert calls == [{"over": "ignore", "invalid": "ignore"}]
+    monkeypatch.setattr(permanent, "_quiet_limit", lambda n, k: math.inf)
+    assert permanent_ryser(m) == loud and len(calls) == 1
+
+
+def test_walk_on_non_finite_or_huge_entries_is_non_finite_without_warning(monkeypatch):
+    # inf and nan entries, entries near the float maximum (whose |z| overflows), and a k = 3
+    # stack all take the error state and come back inf or nan
+    rng = np.random.default_rng(1)
+    inf, nan = random_unit_disk_matrix(rng, 4), random_unit_disk_matrix(rng, 5)
+    inf[1, 2], nan[3, 0] = np.inf, complex(0.5, np.nan)
+    huge = 1.7e308 * np.sign(rng.normal(size=(6, 6))) * (1 + 1j)
+    calls = spy_on_errstate(monkeypatch)
+    for m in (inf, nan, huge, circulant(huge[0])):
+        assert not cmath.isfinite(permanent_ryser(m))
+    stack = 1e160 * rng.normal(size=(3, 4, 4))
+    assert not np.isfinite(_walk(stack)).all()
+    assert len(calls) == 5
+
+
 def test_ryser_bit_reproducible():
     rng = np.random.default_rng(5)
     m = random_unit_disk_matrix(rng, 7)
@@ -537,11 +601,13 @@ def test_kernels_accept_nested_lists():
     assert permanent_with_repeats(rows, [2, 0, 1]) == permanent_with_repeats(m, [2, 0, 1])
     assert permanent_ryser([[1, 2], [3, 4]]) == permanent_naive([[1, 2], [3, 4]]) == 10
     assert permanent_with_repeats(np.eye(2), np.array([1, 1])) == 1  # numpy integers count
+    assert permanent_with_repeats(np.eye(2), [True, np.uint8(1)]) == 1  # and Python bools
     with pytest.raises(ValueError, match="must be square"):
         permanent_ryser([[1, 2, 3], [4, 5, 6]])
 
 
-@pytest.mark.parametrize("mult", [[1.0, 1.0], [1.5, 0.5], ["1", "1"], [-1, 3]])
+@pytest.mark.parametrize("mult", [[1.0, 1.0], [1.5, 0.5], ["1", "1"], [-1, 3],
+                                  [np.float64(1.0), 1], [np.True_, 1]])
 def test_with_repeats_rejects_non_integer_multiplicities(mult):
     with pytest.raises(ValueError, match="non-negative integers"):
         permanent_with_repeats(np.eye(2), mult)

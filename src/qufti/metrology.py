@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +72,13 @@ class OutcomeDistribution:
     def total(self) -> float:
         return math.fsum(p for _, p in self.entries)
 
-    def probability_of(self, occupation: tuple[int, ...]) -> float:
+    def probability_of(self, occupation: Sequence[int]) -> float:
+        """The probability of an occupation given as any sequence of integers."""
+        key = tuple(map(operator.index, occupation))
         for occ, p in self.entries:
-            if occ == occupation:
+            if occ == key:
                 return p
-        raise KeyError(f"no outcome {occupation}")
+        raise KeyError(f"no outcome {key}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,7 +12,8 @@ permanent's exact derivatives along a path.
 
 One walk serves every matrix, O(2^(n-1) n): it reads each sign vector's row
 sums from two tables of half sums, one add per row sum, and inputs differ
-only in the list of sign vectors it sums. Each table entry carries the sign
+only in the list of sign vectors it sums. The tables are one BLAS product of
+A with a cached matrix of +1, -1 and 0. Each table entry carries the sign
 of the half it stands for, so a vector's sign is a product of two. A
 general matrix takes all 2^(n-1), each of weight 1, as one cached block
 whose table entries are shifted per block and whose signs are negated where
@@ -28,12 +29,15 @@ signs carry Glynn's 2^(1-n), a power of two per term (times a small integer
 weight for an orbit), exact in the normal float range. The summation order
 is fixed, so results are bit-reproducible run-to-run on one machine. The
 last bits follow numpy's complex multiply loop, which uses FMA under its
-AVX2 and AVX-512 dispatch and not under the X86_V2 baseline. A permanent
-that overflows comes back inf or nan, without a warning. numpy's error state
-is set for that only when the input could overflow a step of the walk: when
-the sum S^2 of the squared moduli of its entries is inf, nan or so large that
-2^(n+k) n (n S)^n, a bound on every half sum, row sum, product, Taylor
-coefficient and running total, could pass 2^1020.
+AVX2 and AVX-512 dispatch and not under the X86_V2 baseline, and the BLAS
+kernel of the half sums: its products by +1, -1 and 0 are exact, OpenBLAS's
+Haswell and SkylakeX kernels add them in column order, and its SSE
+(Nehalem) kernel rounds some half sums differently from n = 7 on. A
+permanent that overflows comes back inf or nan, without a warning. numpy's
+error state is set for that only when the input could overflow a step of
+the walk: when the sum S^2 of the squared moduli of its entries is inf, nan
+or so large that 2^(n+k) n (n S)^n, a bound on every half sum, row sum,
+product, Taylor coefficient and running total, could pass 2^1020.
 """
 
 from __future__ import annotations
@@ -61,16 +65,12 @@ RYSER_DIM_LIMIT = 30
 # The formula permanent_ryser evaluates, as verify's summary line names it.
 KERNEL = "glynn"
 
-# Sign vectors, or half-sum table entries, evaluated per vectorised block of the walk. A power
-# of two: a general matrix's blocks are one template, shifted per block (see _half_rows).
+# Sign vectors evaluated per vectorised block of the walk. A power of two: a general matrix's
+# blocks are one template, shifted per block (see _half_rows).
 _BLOCK = 1024
 
 # Sign vectors scanned per chunk while an orbit schedule is built.
 _SCAN = 1 << 16
-
-# The multiples of a row's entries that half sums add: +1, -1 and, for odd n, 0 (column 2n).
-_SIGNED = np.array([1, -1, 0], dtype=np.complex128).reshape(3, 1)
-_SIGNED.setflags(write=False)
 
 
 def _check_square(m: NDArray[np.complex128]) -> int:
@@ -137,16 +137,16 @@ def _orbit_schedule(
 @functools.lru_cache(maxsize=RYSER_DIM_LIMIT)
 def _half_rows(
     n: int,
-) -> tuple[NDArray[np.intp], NDArray[np.float64], NDArray[np.intp], NDArray[np.intp],
+) -> tuple[NDArray[np.complex128], NDArray[np.float64], NDArray[np.intp], NDArray[np.intp],
            NDArray[np.float64], NDArray[np.float64]]:
     """The walk's half-sum table for size n, and a general matrix's first block of sign vectors.
 
     A sign vector's row sums split at column h = n // 2 into a low half (the columns below
     h) and a high half (the rest; column n - 1 keeps +1). The table holds every choice of
     signs of each half, low entries first, so one entry of each added gives any vector's
-    row sums. Returns rows, sign, hi, lo, signs and -signs:
-    - column e of rows lists the n - h columns of [A, -A, 0] that entry e adds (for odd n
-      a low entry starts from the zero column, 2n);
+    row sums. Returns table, sign, hi, lo, signs and -signs:
+    - table is the (n, 2^h + 2^(n-1-h)) matrix whose column e holds delta_j on each column
+      j of A that entry e picks and 0 elsewhere, so A @ table is every entry's half sum;
     - sign[e] is the product of the delta_j entry e picks, times Glynn's 2^(1-n) for a low
       entry, so sign[hi] * sign[lo] is a vector's 2^(1-n) prod_k delta_k;
     - hi, lo and signs are the entries and signs of x = 0 .. _BLOCK - 1 (bit j of x set
@@ -154,20 +154,22 @@ def _half_rows(
     The block x = s .. s + _BLOCK - 1, s a multiple of _BLOCK, is that template with s >> h
     added to its high entries and s mod 2^h to its low ones, with -signs when popcount(s) is
     odd: as _BLOCK is a power of two, s and x - s share no set bit, so each half of x is
-    that of s plus that of x - s. It depends on n alone, so it is read-only and cached.
+    that of s plus that of x - s. It depends on n alone, so it is read-only and cached. The
+    table is complex, as numpy would otherwise cast it for every product: 22.5 MiB at n = 30.
     """
     h = n // 2
     bits = (np.arange(1 << h)[:, None] >> np.arange(h)) & 1
-    low = np.hstack([np.full((1 << h, n - 2 * h), 2 * n), np.arange(h) + n * bits])
     free = bits[:1 << (n - 1 - h), :n - 1 - h]
-    high = np.hstack([np.arange(h, n - 1) + n * free, np.full((len(free), 1), n - 1)])
-    rows = np.vstack([low, high]).T.copy()
+    table = np.zeros((n, (1 << h) + len(free)), dtype=np.complex128)
+    table[:h, :1 << h] = 1 - 2 * bits.T
+    table[h:n - 1, 1 << h:] = 1 - 2 * free.T
+    table[n - 1, 1 << h:] = 1
     picked = np.where(bits.sum(axis=1) & 1, -1.0, 1.0)  # a high entry's bits are its index's
     sign = np.concatenate([picked * math.ldexp(1.0, 1 - n), picked[:len(free)]])
     x = np.arange(min(_BLOCK, 1 << (n - 1)))
     hi, lo = (x >> h) + (1 << h), x & ((1 << h) - 1)
     signs = sign[hi] * sign[lo]
-    parts = rows, sign, hi, lo, signs, -signs
+    parts = table, sign, hi, lo, signs, -signs
     for part in parts:
         part.setflags(write=False)
     return parts
@@ -262,12 +264,7 @@ def _glynn_sum(
     2^(n-1) otherwise. Each one's row sums are one entry of each half of the half-sum table
     added: one add per row sum, nothing carried from one vector to the next.
     """
-    rows = _half_rows(n)[0]
-    signed = (a.reshape(k * n, 1, n) * _SIGNED).reshape(k * n, 3 * n)  # rows of [A, -A, 0]
-    halves = np.empty((k * n, rows.shape[1]), dtype=np.complex128)
-    for start in range(0, rows.shape[1], _BLOCK):  # the columns taken stay one block's worth
-        np.add.reduce(signed.take(rows[:, start:start + _BLOCK], axis=1), axis=1,
-                      out=halves[:, start:start + _BLOCK])
+    halves = a.reshape(k * n, n) @ _half_rows(n)[0]  # every entry's half sum, per row
     blocks = _orbit_schedule(n) if n > 1 and _is_circulant(a) else _plain_blocks(n)
     total = 0j
     for high, low, weights in blocks:

@@ -281,6 +281,20 @@ def test_distribution_normalization():
             assert dist.total() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_probability_of_takes_any_integer_sequence():
+    # a list, an ndarray or numpy integers name the outcome their tuple names
+    dist = fock_output_distribution(InterferometerSpec(n=3, phi=0.7))
+    probability = dict(dist.entries)
+    for occupation in ([1, 1, 1], np.ones(3, dtype=int), (np.int64(1),) * 3):
+        assert dist.probability_of(occupation) == probability[(1, 1, 1)]
+    assert dist.probability_of(np.array([0, 3, 0])) == probability[(0, 3, 0)]
+    for missing in ([1, 1], np.array([1, 1, 2]), [3, 0, 0, 0]):
+        with pytest.raises(KeyError, match="no outcome"):
+            dist.probability_of(missing)
+    with pytest.raises(TypeError):
+        dist.probability_of([1.0, 1.0, 1.0])
+
+
 def test_distribution_all_ones_matches_closed_form():
     dist = fock_output_distribution(InterferometerSpec(n=4, phi=0.7))
     assert dist.probability_of((1, 1, 1, 1)) == pytest.approx(

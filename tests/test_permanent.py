@@ -351,8 +351,18 @@ def test_orbit_representatives_cover_each_sign_vector_once(n):
     # and a general matrix's template, tiled over its blocks, every x < 2^(n-1) once, in
     # increasing order, with weight 1
     parts = _half_rows(n)
-    rows, _, hi, lo, plus, minus = parts
-    assert rows.shape == (n - h, (1 << h) + (1 << (n - 1 - h)))
+    table, sign, hi, lo, plus, minus = parts
+    assert table.shape == (n, (1 << h) + (1 << (n - 1 - h)))
+    assert set(table.ravel().tolist()) <= {-1, 0, 1}
+    for e, column in enumerate(table.T.tolist()):
+        # a low entry e picks the columns below h, a high one 2^h + f the rest; bit j of e or
+        # f set means delta = -1, and column n - 1 keeps +1
+        picked = range(h) if e < 1 << h else range(h, n)
+        bits = e if e < 1 << h else e - (1 << h)
+        assert column == [(-1 if bits >> (j - picked[0]) & 1 else 1) if j in picked else 0
+                          for j in range(n)]
+        glynn = 2.0 ** (1 - n) if e < 1 << h else 1.0
+        assert sign[e] == math.prod(column[j] for j in picked) * glynn
     xs, tiled = [], []
     for start in range(0, 1 << (n - 1), len(hi)):
         xs += ((hi + (start >> h) - (1 << h)) << h | lo + (start & ((1 << h) - 1))).tolist()
@@ -447,6 +457,33 @@ def test_ryser_bits_independent_of_memory_layout(n):
 
 def hex_parts(z):
     return float(z.real).hex(), float(z.imag).hex()
+
+
+def column_order_half_sums(a, table):
+    """Bit reference for the half-sum table's product: each row's entries times the table's
+    column, added one column of A at a time, in order, to a zero start."""
+    sums = np.zeros((a.shape[0], table.shape[1]), dtype=np.complex128)
+    for j in range(a.shape[1]):
+        sums = sums + a[:, j, None] * table[j]
+    return sums
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_half_sum_product_bit_identical_to_column_order_sums(n):
+    # one BLAS product gives the sequential half sums: every product by +-1 or 0 is exact, so
+    # only the order of the adds could move a bit. Every term is added to a +0 total, so the
+    # sign of a zero half sum never reaches Per, and it follows the BLAS kernel (OpenBLAS's
+    # SkylakeX kernel gives -0.0 at n = 2 and 4): zeros compare as +0.0
+    rng = np.random.default_rng(4000 + n)
+    table = _half_rows(n)[0]
+    for k in (1, 3):
+        a = np.stack([random_unit_disk_matrix(rng, n) for _ in range(k)])  # the walk's stack
+        a.real[rng.random(a.shape) < 0.3] = -0.0
+        a.imag[rng.random(a.shape) < 0.3] = -0.0
+        a[rng.random(a.shape) < 0.1] = -0.0
+        product = a.reshape(k * n, n) @ table + 0.0
+        expected = column_order_half_sums(a.reshape(k * n, n), table) + 0.0
+        assert list(map(hex_parts, product.ravel())) == list(map(hex_parts, expected.ravel()))
 
 
 @pytest.mark.parametrize("n", range(1, 14))

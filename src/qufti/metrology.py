@@ -107,10 +107,12 @@ def _sensitivity(n, p, dp, sin, damping, at_maximum, root):
     noisy or not, diverges: inf.
     """
     noiseless = np.asarray(damping) == 1.0
-    # P in [0, 1] keeps P - P^2 >= +0; a subnormal damping overflows the quotient to inf
+    # P in [0, 1] keeps P - P^2 >= +0; a subnormal damping overflows the quotient to inf,
+    # and so does a root that underflows to 0 (n >= 813)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         delta = np.where(np.abs(sin) < STATIONARY_SIN_TOL, math.inf, np.sqrt(p - p * p) / dp)
-    delta = np.where(noiseless & (p <= ROOT_TOL * root * root), 1.0 / (n * root), delta)
+        at_minimum = np.divide(1.0, n * root)
+    delta = np.where(noiseless & (p <= ROOT_TOL * root * root), at_minimum, delta)
     return _result(np.where(noiseless & (1.0 - p <= ROOT_TOL), at_maximum, delta))
 
 

@@ -33,11 +33,8 @@ AVX2 and AVX-512 dispatch and not under the X86_V2 baseline, and the BLAS
 kernel of the half sums: its products by +1, -1 and 0 are exact, OpenBLAS's
 Haswell and SkylakeX kernels add them in column order, and its SSE
 (Nehalem) kernel rounds some half sums differently from n = 7 on. A
-permanent that overflows comes back inf or nan, without a warning. numpy's
-error state is set for that only when the input could overflow a step of
-the walk: when the sum S^2 of the squared moduli of its entries is inf, nan
-or so large that 2^(n+k) n (n S)^n, a bound on every half sum, row sum,
-product, Taylor coefficient and running total, could pass 2^1020.
+permanent that overflows comes back inf or nan, without a warning: the walk
+runs under numpy's error state for overflow and invalid operations.
 """
 
 from __future__ import annotations
@@ -100,7 +97,7 @@ def permanent_naive(m: NDArray[np.complex128]) -> complex:
     return total
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def _orbit_schedule(
     n: int,
 ) -> tuple[tuple[NDArray[np.int32], NDArray[np.int32], NDArray[np.float64]], ...]:
@@ -134,7 +131,7 @@ def _orbit_schedule(
                  for s in range(0, len(hi), _BLOCK))
 
 
-@functools.lru_cache(maxsize=RYSER_DIM_LIMIT)
+@functools.cache
 def _half_rows(
     n: int,
 ) -> tuple[NDArray[np.complex128], NDArray[np.float64], NDArray[np.intp], NDArray[np.intp],
@@ -225,45 +222,19 @@ def _is_circulant(a: NDArray[np.complex128]) -> bool:
     )
 
 
-@functools.lru_cache(maxsize=4 * RYSER_DIM_LIMIT)
-def _quiet_limit(n: int, k: int) -> float:
-    """The largest sum of squared moduli S^2 over a (k, n, n) stack at which no step of the
-    walk can overflow. Every entry's modulus is at most S, so a half sum or a row sum is at
-    most n S, a product of n row sums or any of its Taylor coefficients at most
-    2^(n+k) (n S)^n, and the running total n times that: all kept below 2^1020. The bound
-    is loose, but S^2 = n for a unitary, far below it (2^55 at n = 30)."""
-    exponent = 2 * ((1020 - n - k - math.log2(n)) / n - math.log2(n))
-    return 2.0 ** min(exponent, 1023)  # for n = 1 and 2 it would pass the float range
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def _walk(a: NDArray[np.complex128]) -> np.complex128 | NDArray[np.complex128]:
     """Per(A_0 + t A_1 + ... + t^(k-1) A_(k-1)) to order t^(k-1) for the (k, n, n) stack a,
-    as k coefficients (a scalar for k = 1).
-
-    An overflowing Per comes back inf or nan without a warning. numpy's error state, which
-    costs every ufunc call, is set for that only when the stack's sum of squared moduli
-    passes _quiet_limit or is inf or nan. That sum is one BLAS product, which raises no
-    warning where it overflows, as |z| of an entry near the float maximum would.
-    """
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    k, n, _ = a.shape
-    if n > RYSER_DIM_LIMIT:
-        raise SizeLimitError(f"exact permanent limited to dim <= {RYSER_DIM_LIMIT}, got {n}")
-    if np.vdot(a, a).real <= _quiet_limit(n, k):
-        return _glynn_sum(a, k, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _glynn_sum(a, k, n)
-
-
-def _glynn_sum(
-    a: NDArray[np.complex128], k: int, n: int
-) -> np.complex128 | NDArray[np.complex128]:
-    """_walk's sum for the contiguous (k, n, n) stack a.
+    as k coefficients (a scalar for k = 1). An overflowing Per comes back inf or nan.
 
     Glynn's sum takes one sign vector per rotation orbit if every A_m is circulant, and all
     2^(n-1) otherwise. Each one's row sums are one entry of each half of the half-sum table
     added: one add per row sum, nothing carried from one vector to the next.
     """
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    k, n, _ = a.shape
+    if n > RYSER_DIM_LIMIT:
+        raise SizeLimitError(f"exact permanent limited to dim <= {RYSER_DIM_LIMIT}, got {n}")
     halves = a.reshape(k * n, n) @ _half_rows(n)[0]  # every entry's half sum, per row
     blocks = _orbit_schedule(n) if n > 1 and _is_circulant(a) else _plain_blocks(n)
     total = 0j

@@ -355,6 +355,14 @@ def test_huge_chi_max_damps_to_inf_without_warning(tmp_path, capsys):
     assert "Warning" not in capsys.readouterr().err
 
 
+def test_dephasing_at_sizes_whose_minimum_root_underflows(tmp_path, capsys):
+    # from n = 813 the P = 0 minimum's limit 1 / (n prod |n - 2j| / n) divides by zero: inf
+    out = tmp_path / "deph.csv"
+    assert run(["dephasing", "--n-list", "813", "1000", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 43 and rows[1].startswith("813,0.0,")
+    assert "Warning" not in capsys.readouterr().err
+
 def test_failed_run_leaves_existing_out_untouched(tmp_path):
     out = tmp_path / "deph.csv"
     out.write_bytes(b"n,chi\nearlier,run\n")

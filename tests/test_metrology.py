@@ -243,6 +243,17 @@ def test_noise_too_small_to_damp_is_noiseless():
     assert noon_dephased_sensitivity(4, 1e-12, both).tolist() == [1 / 4] * 2
 
 
+@pytest.mark.parametrize("n", [813, 1000])
+def test_sensitivity_where_the_minimum_root_underflows(n):
+    # prod |n - 2j| / n underflows to 0 from n = 813, and the P = 0 minimum's limit with it:
+    # elsewhere the value is the error propagation of the closed forms, noiseless or not
+    for chi_sq in (0.0, 1e-12):
+        params = DephasingParams(chi_sq)
+        for phi in (1e-4, 0.1):
+            p = coincidence_probability(n, phi, params.damping(n))
+            dp = abs(probability_derivative(n, phi, params.damping(n)))
+            assert dephased_sensitivity(n, phi, params) == math.sqrt(p - p * p) / dp
+
 def test_noon_degrades_with_noise():
     clean = noon_dephased_sensitivity(8, 0.01, DephasingParams(0.0))
     noisy = noon_dephased_sensitivity(8, 0.01, DephasingParams(0.005**2))

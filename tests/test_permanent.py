@@ -19,6 +19,7 @@ from qufti import (
     InterferometerSpec,
     SizeLimitError,
     compose_qufti,
+    conjecture_verify,
     permanent_naive,
     permanent_ryser,
     permanent_with_repeats,
@@ -125,68 +126,43 @@ def test_overflowing_permanent_is_non_finite_without_warning():
         assert not cmath.isfinite(permanent_naive(m))
 
 
-def spy_on_errstate(monkeypatch):
-    """Record each np.errstate the kernel enters."""
-    calls, errstate = [], np.errstate
-    monkeypatch.setattr(np, "errstate", lambda **kw: calls.append(kw) or errstate(**kw))
-    return calls
-
-
-def test_quiet_limit_keeps_every_step_below_the_float_maximum():
-    # 2^(n+k) n (n S)^n, the bound on the walk's largest intermediate, at S^2 = the limit
-    for n in range(1, 31):
-        for k in (1, 2, 3):
-            s = math.sqrt(permanent._quiet_limit(n, k))
-            assert n + k + math.log2(n) + n * math.log2(n * s) <= 1020 + 1e-9
-
-
 def equal_entries(n, squares):
     """The n x n matrix of equal entries x (1 + i) whose squared moduli sum to squares: its
     row sums, all n x (1 + i) for delta = +1, are the largest the sum allows."""
     return np.full((n, n), math.sqrt(squares / 2) / n * (1 + 1j))
 
 
+def largest_safe_squares(n):
+    """The largest sum of squared moduli S^2 of an n x n matrix at which no step of the walk
+    can reach 2^1020: a half sum or row sum is at most n S, a product of n row sums at most
+    2^(n+1) (n S)^n, and the running total n times that."""
+    return 2.0 ** min(2 * ((1019 - n - math.log2(n)) / n - math.log2(n)), 1023)
+
+
 @pytest.mark.parametrize("n", [2, 7, 12])
-def test_walk_just_below_the_bound_skips_errstate_and_keeps_its_bits(n, monkeypatch):
-    # pytest turns an overflow warning into an error, and forcing the error state must not
-    # move a bit
+def test_walk_at_the_largest_safe_scale_keeps_step_loop_bits(n):
+    # entries scaled so the walk's intermediates come near the float maximum: the error
+    # state costs no bit, and pytest turns a leaked overflow warning into an error
     rng = np.random.default_rng(n)
-    top = permanent._quiet_limit(n, 1)
+    top = largest_safe_squares(n) * (1 - 1e-12)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (n, n)))
-    for m in (equal_entries(n, top * (1 - 1e-12)), np.sqrt(top * (1 - 1e-12) / n**2) * phases):
-        assert np.vdot(m, m).real <= top
-        calls = spy_on_errstate(monkeypatch)
-        quiet = permanent_ryser(m)
-        assert calls == [] and cmath.isfinite(quiet)
-        monkeypatch.setattr(permanent, "_quiet_limit", lambda n, k: -math.inf)
-        assert permanent_ryser(m) == quiet and len(calls) == 1
-        monkeypatch.undo()
+    for m, vectors in ((equal_entries(n, top), orbit_representatives(n)),
+                       (np.sqrt(top / n**2) * phases, every_sign_vector(n))):
+        value = permanent_ryser(m)
+        assert cmath.isfinite(value) and value == glynn_step_loop(m, vectors)
 
 
-@pytest.mark.parametrize("n", [2, 7, 12])
-def test_walk_just_above_the_bound_takes_errstate_and_keeps_its_bits(n, monkeypatch):
-    m = equal_entries(n, np.nextafter(permanent._quiet_limit(n, 1), np.inf) * (1 + 1e-15))
-    assert np.vdot(m, m).real > permanent._quiet_limit(n, 1)
-    calls = spy_on_errstate(monkeypatch)
-    loud = permanent_ryser(m)
-    assert calls == [{"over": "ignore", "invalid": "ignore"}]
-    monkeypatch.setattr(permanent, "_quiet_limit", lambda n, k: math.inf)
-    assert permanent_ryser(m) == loud and len(calls) == 1
-
-
-def test_walk_on_non_finite_or_huge_entries_is_non_finite_without_warning(monkeypatch):
+def test_walk_on_non_finite_or_huge_entries_is_non_finite_without_warning():
     # inf and nan entries, entries near the float maximum (whose |z| overflows), and a k = 3
-    # stack all take the error state and come back inf or nan
+    # stack all come back inf or nan
     rng = np.random.default_rng(1)
     inf, nan = random_unit_disk_matrix(rng, 4), random_unit_disk_matrix(rng, 5)
     inf[1, 2], nan[3, 0] = np.inf, complex(0.5, np.nan)
     huge = 1.7e308 * np.sign(rng.normal(size=(6, 6))) * (1 + 1j)
-    calls = spy_on_errstate(monkeypatch)
     for m in (inf, nan, huge, circulant(huge[0])):
         assert not cmath.isfinite(permanent_ryser(m))
     stack = 1e160 * rng.normal(size=(3, 4, 4))
     assert not np.isfinite(_walk(stack)).all()
-    assert len(calls) == 5
 
 
 def test_ryser_bit_reproducible():
@@ -439,6 +415,14 @@ def test_small_blocks_keep_step_loop_bits(block, monkeypatch):
     finally:
         _half_rows.cache_clear()
         _orbit_schedule.cache_clear()
+
+
+def test_repeated_verify_rebuilds_no_cached_schedule():
+    # verify walks n = 2..12 in turn; the per-n caches hold every size the guard admits
+    conjecture_verify(12, 4)
+    misses = _half_rows.cache_info().misses, _orbit_schedule.cache_info().misses
+    conjecture_verify(12, 4)
+    assert (_half_rows.cache_info().misses, _orbit_schedule.cache_info().misses) == misses
 
 
 @pytest.mark.parametrize("n", [4, 7, 8, 9, 12, 13])

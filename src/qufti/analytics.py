@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import InterferometerSpec, compose_qufti
+from .matrices import InterferometerSpec, _phase, compose_qufti
 from .permanent import RYSER_DIM_LIMIT, SizeLimitError, permanent_ryser
 
 
@@ -37,23 +37,6 @@ def _result(x):
     """A zero-dimensional result as a Python float (so repr prints a plain
     number), an array unchanged."""
     return float(x) if np.ndim(x) == 0 else x
-
-
-def _phase(n: int, phi: float | np.ndarray) -> float | np.ndarray:
-    """n phi, or a ValueError naming the first phi at which it is not finite; a float phi
-    gives a float."""
-    if type(phi) is float:
-        x = n * phi
-        if not math.isfinite(x):
-            raise ValueError(f"{n} * phi must be finite, got phi = {phi!r}")
-        return x
-    phi = np.asarray(phi, dtype=float)
-    with np.errstate(over="ignore"):
-        x = n * phi
-    if not np.isfinite(x).all():
-        bad = float(phi[~np.isfinite(x)].flat[0])
-        raise ValueError(f"{n} * phi must be finite, got phi = {bad!r}")
-    return x
 
 
 def _factors(n: int, c: float | np.ndarray) -> list:

@@ -21,6 +21,24 @@ import numpy as np
 from numpy.typing import NDArray
 
 
+def _phase(w: float, phi: float | np.ndarray) -> float | np.ndarray:
+    """w phi, or a ValueError naming the first phi at which it is not finite; a float phi gives
+    a float. The library's one check of a phase product: w is the spec's largest |weight|, the
+    closed forms' n, the NOON comparator's N or the mask sensitivity's weight spread."""
+    if type(phi) is float:
+        x = float(w) * phi  # a numpy integer w would give a numpy float, which warns on overflow
+        if not math.isfinite(x):
+            raise ValueError(f"{w} * phi must be finite, got phi = {phi!r}")
+        return x
+    phi = np.asarray(phi, dtype=float)
+    with np.errstate(over="ignore"):
+        x = w * phi
+    if not np.isfinite(x).all():
+        bad = float(phi[~np.isfinite(x)].flat[0])
+        raise ValueError(f"{w} * phi must be finite, got phi = {bad!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class InterferometerSpec:
     """Parameters of one interferometer instance.
@@ -41,10 +59,8 @@ class InterferometerSpec:
                 raise ValueError(f"got {len(self.weights)} weights, expected {self.n}")
             if not all(math.isfinite(w) for w in self.weights):
                 raise ValueError("weights must be finite")
-        # the largest phase phase_vector forms
         big = self.n - 1 if self.weights is None else float(max(map(abs, self.weights)))
-        if not math.isfinite(big * float(self.phi)):  # in floats: numpy warns on overflow
-            raise ValueError(f"{big!r} * phi must be finite, got phi = {float(self.phi)!r}")
+        _phase(big, float(self.phi))  # the largest phase phase_vector forms
 
 
 def qft_matrix(n: int) -> NDArray[np.complex128]:

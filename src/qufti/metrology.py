@@ -32,7 +32,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import _libm, _result
-from .matrices import InterferometerSpec, _circulant, compose_qufti
+from .matrices import InterferometerSpec, _circulant, _phase, compose_qufti
 from .permanent import SizeLimitError, _walk, permanent_with_repeats
 
 # Noiseless P this close to a double root (0 or 1, relative) takes the root's limit.
@@ -103,14 +103,15 @@ def _sensitivity(n, p, dp, sin, damping, at_maximum, root):
     signal also gives), 1 - P <= ROOT_TOL is a P = 1 maximum, with limit
     at_maximum, and P <= ROOT_TOL root^2 a P = 0 minimum, with limit
     1 / (n root); root^2 is the product of the factors of P that do not
-    vanish there. Any other stationary point (|sin| < STATIONARY_SIN_TOL),
-    noisy or not, diverges: inf.
+    vanish there. Any other stationary point (|sin| < STATIONARY_SIN_TOL, or dP = 0 where
+    noise underflows the signal at large n), noisy or not, diverges: inf.
     """
     noiseless = np.asarray(damping) == 1.0
     # P in [0, 1] keeps P - P^2 >= +0; a subnormal damping overflows the quotient to inf,
     # and so does a root that underflows to 0 (n >= 813)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        delta = np.where(np.abs(sin) < STATIONARY_SIN_TOL, math.inf, np.sqrt(p - p * p) / dp)
+        flat = (np.abs(sin) < STATIONARY_SIN_TOL) | (dp == 0)
+        delta = np.where(flat, math.inf, np.sqrt(p - p * p) / dp)
         at_minimum = np.divide(1.0, n * root)
     delta = np.where(noiseless & (p <= ROOT_TOL * root * root), at_minimum, delta)
     return _result(np.where(noiseless & (1.0 - p <= ROOT_TOL), at_maximum, delta))
@@ -184,7 +185,7 @@ def noon_dephased_sensitivity(
     """
     if n_photons < 2:
         raise ValueError(f"need N >= 2, got {n_photons}")
-    x = analytics._phase(n_photons, phi)
+    x = _phase(n_photons, phi)
     sin = _libm(math.sin, x)
     d = params.damping(n_photons)
     p = 0.5 * (1.0 + _libm(math.cos, x) * d)
@@ -238,8 +239,7 @@ def sensitivity_for_mask(spec: InterferometerSpec) -> float:
         raise ValueError(f"need n >= 2 for interference, got {n}")
     w = range(n) if spec.weights is None else list(map(float, spec.weights))
     spread = max(abs(x - w[0]) for x in w)
-    if not math.isfinite(spread * phi):
-        raise ValueError(f"weight spread {spread!r} * phi must be finite, got phi = {phi!r}")
+    _phase(spread, phi)
     e = math.frexp(spread / n)[1]
     w, phi = np.array([math.ldexp(x - w[0], -e) for x in w]), math.ldexp(phi, e)
     d = np.exp(1j * (w * phi)) * np.array([np.ones(n), 1j * w, -0.5 * w * w])

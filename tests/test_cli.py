@@ -253,6 +253,9 @@ LIBRARY_DOMAIN_ERRORS = [
     (["dephasing", "--n-list", "3", "1"], "need n >= 2 for interference, got 1"),
     (["phase-scan", "--n", "20", "--phi-max", "1e307"], "20 * phi must be finite, got phi = 9e+306"),
     (["distribution", "--n", "3", "--phi", "1e308"], "2 * phi must be finite, got phi = 1e+308"),
+    (["dephasing", "--n-list", "3", "--phi", "1e308"], "3 * phi must be finite, got phi = 1e+308"),
+    # n * phi is finite for n = 3; the NOON comparator's N = 4 overflows it
+    (["dephasing", "--n-list", "3", "--phi", "5e307"], "4 * phi must be finite, got phi = 5e+307"),
 ]
 
 
@@ -283,11 +286,6 @@ FLAG_ERRORS = [
     (["dephasing", "--n-list", "4", "--chi-max", "inf"], "--chi-max must be finite"),
     (["phase-scan", "--n", "3", "--phi-min=-1e308", "--phi-max", "1e308", "--steps", "3"],
      "--phi-max minus --phi-min overflows a float"),
-    (["dephasing", "--n-list", "3", "--phi", "1e308"],
-     "--phi times the NOON photon count 4 overflows a float, got 1e+308"),
-    # n * phi is finite for n = 3; the NOON comparator's N = 4 overflows it
-    (["dephasing", "--n-list", "3", "--phi", "5e307"],
-     "--phi times the NOON photon count 4 overflows a float, got 5e+307"),
 ]
 
 
@@ -361,6 +359,17 @@ def test_dephasing_at_sizes_whose_minimum_root_underflows(tmp_path, capsys):
     assert run(["dephasing", "--n-list", "813", "1000", "--out", str(out)]) == 0
     rows = out.read_text().splitlines()
     assert len(rows) == 43 and rows[1].startswith("813,0.0,")
+    assert "Warning" not in capsys.readouterr().err
+
+
+def test_dephasing_without_signal_writes_inf_not_nan(tmp_path, capsys):
+    # at n = 5000 and phi = 0.1 noise underflows P and dP/dphi to 0: no signal, inf
+    out = tmp_path / "deph.csv"
+    argv = ["dephasing", "--n-list", "5000", "--chi-max", "1e-6", "--phi", "0.1"]
+    assert run(argv + ["--out", str(out)]) == 0
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert len(rows) == 21 and all(row[2] == "inf" for row in rows)
+    assert "nan" not in out.read_text()
     assert "Warning" not in capsys.readouterr().err
 
 def test_failed_run_leaves_existing_out_untouched(tmp_path):

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from qufti import InterferometerSpec, compose_qufti, qft_matrix
+from qufti import (
+    DephasingParams,
+    InterferometerSpec,
+    coincidence_probability,
+    compose_qufti,
+    noon_dephased_sensitivity,
+    permanent_closed_form,
+    qft_matrix,
+    sensitivity_for_mask,
+)
 from qufti.matrices import _dft, _gradient, _rotations, phase_vector
 
 # Denominator modulus below which the closed-form entry is treated as 0/0.
@@ -145,6 +154,45 @@ def test_spec_rejects_overflowing_phase(n, phi, weights, message):
     # phase_vector forms weight * phi; an overflow there would give NaN entries
     with pytest.raises(ValueError) as exc:
         InterferometerSpec(n=n, phi=phi, weights=weights)
+    assert str(exc.value) == message
+
+
+# Every phase product w * phi the library forms is checked by matrices._phase, with one message.
+PHASE_OVERFLOWS = {
+    "spec": (lambda: InterferometerSpec(3, 1e308), "2 * phi must be finite, got phi = 1e+308"),
+    "spec_numpy_n": (
+        lambda: InterferometerSpec(np.int64(3), 1e308), "2 * phi must be finite, got phi = 1e+308"
+    ),
+    "coincidence_probability": (
+        lambda: coincidence_probability(3, 1e308), "3 * phi must be finite, got phi = 1e+308"
+    ),
+    "coincidence_probability_array": (
+        lambda: coincidence_probability(3, np.array([0.1, -1e308, 1e308])),
+        "3 * phi must be finite, got phi = -1e+308",
+    ),
+    "permanent_closed_form": (
+        lambda: permanent_closed_form(3, 1e308), "3 * phi must be finite, got phi = 1e+308"
+    ),
+    "noon_dephased_sensitivity": (
+        lambda: noon_dephased_sensitivity(4, 5e307, DephasingParams(0.0)),
+        "4 * phi must be finite, got phi = 5e+307",
+    ),
+    "noon_dephased_sensitivity_numpy_n": (
+        lambda: noon_dephased_sensitivity(np.int64(4), 5e307, DephasingParams(0.0)),
+        "4 * phi must be finite, got phi = 5e+307",
+    ),
+    "sensitivity_for_mask": (  # the weight spread 2e300, not any one weight, overflows
+        lambda: sensitivity_for_mask(InterferometerSpec(3, 1e8, (-1e300, 1e300, 0.0))),
+        "2e+300 * phi must be finite, got phi = 100000000.0",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call,message", PHASE_OVERFLOWS.values(), ids=PHASE_OVERFLOWS.keys())
+def test_phase_product_overflow_is_one_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
     assert str(exc.value) == message
 
 

@@ -254,6 +254,16 @@ def test_sensitivity_where_the_minimum_root_underflows(n):
             dp = abs(probability_derivative(n, phi, params.damping(n)))
             assert dephased_sensitivity(n, phi, params) == math.sqrt(p - p * p) / dp
 
+def test_sensitivity_without_signal_is_inf():
+    # at n = 5000 and phi = 0.1 noise underflows P and dP/dphi to 0, which propagates as 0/0
+    params = DephasingParams(1e-12)
+    assert coincidence_probability(5000, 0.1, params.damping(5000)) == 0.0
+    assert probability_derivative(5000, 0.1, params.damping(5000)) == 0.0
+    assert dephased_sensitivity(5000, 0.1, params) == math.inf
+    both = DephasingParams(np.array([1e-12, 0.0]))
+    assert dephased_sensitivity(5000, 0.1, both).tolist() == [math.inf, math.inf]
+
+
 def test_noon_degrades_with_noise():
     clean = noon_dephased_sensitivity(8, 0.01, DephasingParams(0.0))
     noisy = noon_dephased_sensitivity(8, 0.01, DephasingParams(0.005**2))
@@ -337,6 +347,19 @@ def test_outcome_table_matches_enumeration(n):
     assert list(_outcomes(n)) == expected
     dist = fock_output_distribution(InterferometerSpec(n=n, phi=0.4))
     assert [occ for occ, _ in dist.entries] == [occ for occ, _ in expected]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_distribution_is_invariant_under_output_rotations(n):
+    # U is circulant for any weights, so rotating an outcome's modes rotates U's columns,
+    # a row permutation that leaves each permanent unchanged: p(S) = p(S + r)
+    rng = np.random.default_rng(n)
+    weights = tuple(rng.uniform(-2.0, 2.0, n).tolist())
+    for spec in (InterferometerSpec(n, 1.234), InterferometerSpec(n, 0.7, weights)):
+        probability = dict(fock_output_distribution(spec).entries)
+        for occ, p in probability.items():
+            for r in range(1, n):
+                assert abs(probability[occ[-r:] + occ[:-r]] - p) <= 1e-15, (spec, occ, r)
 
 
 def test_mask_sensitivity_gradient_consistency():
@@ -610,7 +633,7 @@ def test_mask_sensitivity_matches_mpmath_permutation_sum(n, weights, phi):
 def test_mask_weight_spread_overflow_names_the_callers_values(cast):
     # weights[1] - weights[0] = 2e300 times phi overflows, though each weight times phi does not
     spec = InterferometerSpec(3, cast(1e8), tuple(map(cast, (-1e300, 1e300, 0.0))))
-    with pytest.raises(ValueError, match=r"weight spread 2e\+300 \* phi must be finite, got phi = 100000000\.0$"):
+    with pytest.raises(ValueError, match=r"^2e\+300 \* phi must be finite, got phi = 100000000\.0$"):
         sensitivity_for_mask(spec)
 
 

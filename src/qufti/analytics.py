@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import InterferometerSpec, _phase, compose_qufti
+from .matrices import InterferometerSpec, _count, _phase, compose_qufti
 from .permanent import RYSER_DIM_LIMIT, SizeLimitError, permanent_ryser
 
 
@@ -62,8 +62,7 @@ def permanent_closed_form(n: int, phi: float) -> complex:
     numpy's complex division does, each part times 1.0 / n, so it has the
     bits of a loop over numpy complex scalars.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    n = _count(n, 1)
     z = cmath.exp(1j * _phase(n, phi))
     scale = 1.0 / n
     result = 1 + 0j
@@ -91,8 +90,7 @@ def coincidence_probability(
 def _signal(n: int, phi, damping):
     """P, |dP/dphi| and sin(n phi) from one phase and one factor list; an array
     call starts the running product p = P from ones, so n = 1 keeps its shape."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    n = _count(n, 1)
     x = _phase(n, phi)
     sin = _libm(math.sin, x)
     c = _libm(math.cos, x) * damping
@@ -144,10 +142,9 @@ def conjecture_verify(n_max: int, phi_samples: int) -> ConjectureReport:
     Scans n = 2..n_max and phi_samples uniform points over [0, 2 pi); the
     first worst case in scan order is reported.
     """
-    if not 2 <= n_max <= RYSER_DIM_LIMIT:
+    n_max, phi_samples = _count(n_max, 2, "n_max"), _count(phi_samples, 1, "phi_samples")
+    if n_max > RYSER_DIM_LIMIT:
         raise SizeLimitError(f"n_max must be in 2..{RYSER_DIM_LIMIT}, got {n_max}")
-    if phi_samples < 1:
-        raise ValueError(f"phi_samples must be >= 1, got {phi_samples}")
     err, n_worst, phi_worst = -1.0, 2, 0.0
     for n in range(2, n_max + 1):
         for phi in np.linspace(0.0, 2 * np.pi, phi_samples, endpoint=False):

@@ -119,7 +119,7 @@ def cmd_sensitivity_scan(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_dephasing(args: argparse.Namespace) -> tuple[int, str]:
-    _check_finite(args, "phi", "chi_max")
+    _check_finite(args, "chi_max")
     if args.steps < 2 or args.chi_max < 0:
         raise ValueError("need --steps >= 2 and --chi-max >= 0")
     try:  # the largest variance of the sweep; Python's ** raises on overflow

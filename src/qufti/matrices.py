@@ -15,16 +15,31 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 
+def _count(n: int, least: int, name: str = "n") -> int:
+    """n as an int, or a ValueError: `need an integer n, got 2.5` or `need n >= 2, got 1`.
+    The library's one check of a photon, mode or sample number; a numpy integer passes, a
+    float never does, not even 3.0. Its companion for phases is _phase."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"need an integer {name}, got {n}") from None
+    if n < least:
+        raise ValueError(f"need {name} >= {least}, got {n}")
+    return n
+
+
 def _phase(w: float, phi: float | np.ndarray) -> float | np.ndarray:
     """w phi, or a ValueError naming the first phi at which it is not finite; a float phi gives
     a float. The library's one check of a phase product: w is the spec's largest |weight|, the
-    closed forms' n, the NOON comparator's N or the mask sensitivity's weight spread."""
+    closed forms' n, the NOON comparator's N or the mask sensitivity's weight spread. Its
+    companion for counts is _count."""
     if type(phi) is float:
         x = float(w) * phi  # a numpy integer w would give a numpy float, which warns on overflow
         if not math.isfinite(x):
@@ -52,8 +67,7 @@ class InterferometerSpec:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"mode count must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _count(self.n, 1))
         if self.weights is not None:
             if len(self.weights) != self.n:
                 raise ValueError(f"got {len(self.weights)} weights, expected {self.n}")
@@ -70,8 +84,7 @@ def qft_matrix(n: int) -> NDArray[np.complex128]:
     1-based convention matters: it differs from the 0-based DFT by a
     diagonal phase, and the closed-form entry cross-check assumes it.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    n = _count(n, 1)
     idx = np.arange(1, n + 1)
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import _libm, _result
-from .matrices import InterferometerSpec, _circulant, _phase, compose_qufti
+from .matrices import InterferometerSpec, _circulant, _count, _phase, compose_qufti
 from .permanent import SizeLimitError, _walk, permanent_with_repeats
 
 # Noiseless P this close to a double root (0 or 1, relative) takes the root's limit.
@@ -55,10 +55,10 @@ class DephasingParams:
         if not np.all(np.greater_equal(self.chi_sq, 0)):  # NaN fails too
             raise ValueError(f"phase-noise variance must be >= 0, got {self.chi_sq}")
 
+    @np.errstate(over="ignore")  # a huge variance gives -inf, which damps to 0
     def damping(self, n: int) -> float | np.ndarray:
         """Signal damping factor exp(-n^2 <dchi^2> / 2)."""
-        with np.errstate(over="ignore"):  # a huge variance gives -inf, which damps to 0
-            x = -0.5 * n * n * np.asarray(self.chi_sq, dtype=float)
+        x = -0.5 * n * n * np.asarray(self.chi_sq, dtype=float)
         return _result(_libm(math.exp, x))
 
 
@@ -91,11 +91,13 @@ class OutcomeDistribution:
 
 def phase_sensitivity_small_angle(n: int) -> float:
     """Sensitivity at the phi -> 0 operating point, sqrt(3/(2n(n+1)(n-1)))."""
-    if n < 2:
-        raise ValueError(f"need n >= 2 for interference, got {n}")
+    n = _count(n, 2)
     return math.sqrt(3.0 / (2.0 * n * (n + 1) * (n - 1)))
 
 
+# P in [0, 1] keeps P - P^2 >= +0; a subnormal damping overflows the quotient to inf,
+# and so does a root that underflows to 0 (n >= 813)
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _sensitivity(n, p, dp, sin, damping, at_maximum, root):
     """sqrt(P - P^2) / |dP| with one rule for the 0/0 at the double roots of P.
 
@@ -107,20 +109,16 @@ def _sensitivity(n, p, dp, sin, damping, at_maximum, root):
     noise underflows the signal at large n), noisy or not, diverges: inf.
     """
     noiseless = np.asarray(damping) == 1.0
-    # P in [0, 1] keeps P - P^2 >= +0; a subnormal damping overflows the quotient to inf,
-    # and so does a root that underflows to 0 (n >= 813)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        flat = (np.abs(sin) < STATIONARY_SIN_TOL) | (dp == 0)
-        delta = np.where(flat, math.inf, np.sqrt(p - p * p) / dp)
-        at_minimum = np.divide(1.0, n * root)
+    flat = (np.abs(sin) < STATIONARY_SIN_TOL) | (dp == 0)
+    delta = np.where(flat, math.inf, np.sqrt(p - p * p) / dp)
+    at_minimum = np.divide(1.0, n * root)
     delta = np.where(noiseless & (p <= ROOT_TOL * root * root), at_minimum, delta)
     return _result(np.where(noiseless & (1.0 - p <= ROOT_TOL), at_maximum, delta))
 
 
 def orc_photon_count(n: int) -> int:
     """Equivalent photon number under Ordinal Resource Counting, 1 + n(n-1)/2."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _count(n, 1)
     return 1 + n * (n - 1) // 2
 
 
@@ -138,9 +136,7 @@ def protocol_efficiency(eta_source: float, eta_detector: float, n: int) -> float
     """Success probability (eta_s * eta_d)^n with per-photon source/detector loss."""
     if not (0.0 <= eta_source <= 1.0 and 0.0 <= eta_detector <= 1.0):
         raise ValueError("efficiencies must lie in [0, 1]")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return (eta_source * eta_detector) ** n
+    return (eta_source * eta_detector) ** _count(n, 1)
 
 
 def dephased_probability(
@@ -166,7 +162,7 @@ def dephased_sensitivity(
     at cos(n phi) = -1 the j = n/2 factor of even n vanishes, a P = 0 minimum.
     For odd n, P = prod_j ((n - 2j) / n)^2 > 0 there: a divergence, inf.
     """
-    at_maximum = phase_sensitivity_small_angle(n)  # rejects n < 2
+    at_maximum = phase_sensitivity_small_angle(n)  # checks the count: an integer n >= 2
     d = params.damping(n)
     p, dp, sin = analytics._signal(n, phi, d)
     root = math.prod(abs(n - 2 * j) / n for j in range(1, n) if 2 * j != n)
@@ -183,8 +179,7 @@ def noon_dephased_sensitivity(
     at every phi this saturates the Heisenberg limit 1/N, which is also the
     limit at its double roots; under noise the stationary points diverge.
     """
-    if n_photons < 2:
-        raise ValueError(f"need N >= 2, got {n_photons}")
+    n_photons = _count(n_photons, 2, "N")
     x = _phase(n_photons, phi)
     sin = _libm(math.sin, x)
     d = params.damping(n_photons)
@@ -234,9 +229,7 @@ def sensitivity_for_mask(spec: InterferometerSpec) -> float:
     The weights are shifted by -weights[0] (a global phase leaves P unchanged) and scaled
     by 2^-e to span [n/2, n), exactly: delta_phi(w, phi) = delta_phi(w / 2^e, 2^e phi) / 2^e.
     """
-    n, phi = spec.n, float(spec.phi)  # Python floats: numpy scalars warn on overflow
-    if n < 2:
-        raise ValueError(f"need n >= 2 for interference, got {n}")
+    n, phi = _count(spec.n, 2), float(spec.phi)  # Python floats: numpy scalars warn on overflow
     w = range(n) if spec.weights is None else list(map(float, spec.weights))
     spread = max(abs(x - w[0]) for x in w)
     _phase(spread, phi)

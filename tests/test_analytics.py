@@ -90,8 +90,9 @@ def test_conjecture_agrees_at_zero_phase():
 
 
 def test_conjecture_range_guard():
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ValueError, match=r"^need n_max >= 2, got 1$") as info:
         conjecture_verify(1, 8)
+    assert not isinstance(info.value, SizeLimitError)  # too small is a bad count, not a size limit
     with pytest.raises(SizeLimitError):
         conjecture_verify(31, 8)
 

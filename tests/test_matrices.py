@@ -10,8 +10,14 @@ from qufti import (
     InterferometerSpec,
     coincidence_probability,
     compose_qufti,
+    conjecture_verify,
+    dephased_sensitivity,
     noon_dephased_sensitivity,
+    orc_photon_count,
     permanent_closed_form,
+    phase_sensitivity_small_angle,
+    probability_derivative,
+    protocol_efficiency,
     qft_matrix,
     sensitivity_for_mask,
 )
@@ -194,6 +200,50 @@ def test_phase_product_overflow_is_one_error(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+# Every photon, mode or sample number the library takes is checked by matrices._count:
+# (call of the count, its name in the message, the least count admitted).
+COUNTS = {
+    "spec": (lambda n: InterferometerSpec(n, 0.1), "n", 1),
+    "qft_matrix": (qft_matrix, "n", 1),
+    "permanent_closed_form": (lambda n: permanent_closed_form(n, 0.1), "n", 1),
+    "coincidence_probability": (lambda n: coincidence_probability(n, 0.1), "n", 1),
+    "probability_derivative_array": (lambda n: probability_derivative(n, np.array([0.1])), "n", 1),
+    "conjecture_verify_n_max": (lambda n: conjecture_verify(n, 2), "n_max", 2),
+    "conjecture_verify_phi_samples": (lambda n: conjecture_verify(3, n), "phi_samples", 1),
+    "phase_sensitivity_small_angle": (phase_sensitivity_small_angle, "n", 2),
+    "dephased_sensitivity": (lambda n: dephased_sensitivity(n, 0.1, DephasingParams(0.0)), "n", 2),
+    # a fractional n is refused by the spec, one below the least by sensitivity_for_mask
+    "sensitivity_for_mask": (lambda n: sensitivity_for_mask(InterferometerSpec(n, 0.1)), "n", 2),
+    "orc_photon_count": (orc_photon_count, "n", 1),
+    "protocol_efficiency": (lambda n: protocol_efficiency(0.9, 0.9, n), "n", 1),
+    "noon_dephased_sensitivity": (
+        lambda n: noon_dephased_sensitivity(n, 0.1, DephasingParams(0.0)), "N", 2
+    ),
+}
+
+
+@pytest.mark.parametrize("call,name,least", COUNTS.values(), ids=COUNTS.keys())
+def test_count_is_one_check(call, name, least):
+    for bad, message in [
+        (2.5, f"need an integer {name}, got 2.5"),
+        (3.0, f"need an integer {name}, got 3.0"),
+        (least - 1, f"need {name} >= {least}, got {least - 1}"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_numpy_integer_count_gives_the_int_bits(n):
+    spec = InterferometerSpec(np.int64(n), 0.3)
+    assert type(spec.n) is int
+    assert compose_qufti(spec).tobytes() == compose_qufti(InterferometerSpec(n, 0.3)).tobytes()
+    assert repr(coincidence_probability(np.int64(n), 0.3)) == repr(coincidence_probability(n, 0.3))
+    count = orc_photon_count(np.int64(n))
+    assert type(count) is int and count == orc_photon_count(n)
 
 
 def test_spec_accepts_huge_phase_without_a_phase_weight():

@@ -20,6 +20,7 @@ from qufti import (
     noon_dephased_sensitivity,
     orc_photon_count,
     permanent_closed_form,
+    permanent_naive,
     permanent_ryser,
     phase_sensitivity_small_angle,
     probability_derivative,
@@ -362,6 +363,28 @@ def test_distribution_is_invariant_under_output_rotations(n):
                 assert abs(probability[occ[-r:] + occ[:-r]] - p) <= 1e-15, (spec, occ, r)
 
 
+@pytest.mark.parametrize("n", range(4, 8))
+def test_distribution_matches_exact_correlators(n):
+    # With one photon in each input, the correlator of m distinct outputs J is
+    # <prod_{j in J} n_j> = sum over m-subsets K of inputs of |Per U[K, J]|^2 (Walschaers et al.,
+    # New J. Phys. 18, 123011 (2016)). The naive m x m permanents are independent of the walk;
+    # m = 2 sees only |U|^2 (U is unitary), m = 4 the phases of U too.
+    for phi in (0.3, 1.234):
+        spec = InterferometerSpec(n, phi)
+        entries = fock_output_distribution(spec).entries
+        occupations = np.array([occ for occ, _ in entries], dtype=float)
+        p = np.array([q for _, q in entries])
+        u = compose_qufti(spec)
+        for m in (2, 3, 4):
+            for outputs in itertools.combinations(range(n), m):
+                moment = p @ occupations[:, outputs].prod(axis=1)
+                exact = sum(
+                    abs(permanent_naive(u[np.ix_(inputs, outputs)])) ** 2
+                    for inputs in itertools.combinations(range(n), m)
+                )
+                assert abs(moment - exact) <= 1e-14, (phi, outputs)
+
+
 def test_mask_sensitivity_gradient_consistency():
     spec = InterferometerSpec(n=4, phi=0.05)
     assert sensitivity_for_mask(spec) == pytest.approx(
@@ -650,7 +673,7 @@ def test_mask_weights_rescale_exactly():
 @pytest.mark.parametrize(
     "call,error,message",
     [
-        (lambda: permanent_closed_form(0, 0.1), ValueError, "dimension must be >= 1, got 0"),
+        (lambda: permanent_closed_form(0, 0.1), ValueError, "need n >= 1, got 0"),
         (
             lambda: OutcomeDistribution(1, [((1,), 1.0)]).probability_of((2,)),
             KeyError,

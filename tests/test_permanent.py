@@ -349,7 +349,7 @@ def test_orbit_representatives_cover_each_sign_vector_once(n):
 
 
 @pytest.mark.parametrize("n", range(2, 15))
-def test_orbit_path_matches_gray_walk_on_random_circulants(n):
+def test_orbit_path_matches_every_sign_vector_on_random_circulants(n):
     # the orbit sum against the step loop over every sign vector, and over the representatives
     rng = np.random.default_rng(6000 + n)
     m = random_circulant(rng, n)

@@ -16,7 +16,7 @@ from .analytics import (
     permanent_closed_form,
     probability_derivative,
 )
-from .matrices import InterferometerSpec, compose_qufti, qft_matrix
+from .matrices import InterferometerSpec, SizeLimitError, compose_qufti, qft_matrix
 from .metrology import (
     DephasingParams,
     OutcomeDistribution,
@@ -31,7 +31,7 @@ from .metrology import (
     sensitivity_for_mask,
     shotnoise_limit,
 )
-from .permanent import SizeLimitError, permanent_naive, permanent_ryser, permanent_with_repeats
+from .permanent import permanent_naive, permanent_ryser, permanent_with_repeats
 
 __all__ = [
     "ConjectureReport",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import InterferometerSpec, _count, _phase, compose_qufti
-from .permanent import RYSER_DIM_LIMIT, SizeLimitError, permanent_ryser
+from .permanent import RYSER_DIM_LIMIT, permanent_ryser
 
 
 def _libm(f, x):
@@ -142,9 +142,8 @@ def conjecture_verify(n_max: int, phi_samples: int) -> ConjectureReport:
     Scans n = 2..n_max and phi_samples uniform points over [0, 2 pi); the
     first worst case in scan order is reported.
     """
-    n_max, phi_samples = _count(n_max, 2, "n_max"), _count(phi_samples, 1, "phi_samples")
-    if n_max > RYSER_DIM_LIMIT:
-        raise SizeLimitError(f"n_max must be in 2..{RYSER_DIM_LIMIT}, got {n_max}")
+    n_max = _count(n_max, 2, "n_max", most=RYSER_DIM_LIMIT)
+    phi_samples = _count(phi_samples, 1, "phi_samples")
     err, n_worst, phi_worst = -1.0, 2, 0.0
     for n in range(2, n_max + 1):
         for phi in np.linspace(0.0, 2 * np.pi, phi_samples, endpoint=False):

@@ -8,7 +8,8 @@ weights, so it is built from one row, the DFT of the mask (one product with
 a cached DFT matrix), and comes out circulant bit for bit, which the
 permanent kernel's orbit sum needs. The tests cross-check it against the
 matrix product and against a closed-form expression for the entries of U
-under the gradient.
+under the gradient. The library's input checks live here too: _count (and
+SizeLimitError) for counts and size limits, _phase for phase products.
 """
 
 from __future__ import annotations
@@ -22,16 +23,26 @@ import numpy as np
 from numpy.typing import NDArray
 
 
-def _count(n: int, least: int, name: str = "n") -> int:
-    """n as an int, or a ValueError: `need an integer n, got 2.5` or `need n >= 2, got 1`.
-    The library's one check of a photon, mode or sample number; a numpy integer passes, a
-    float never does, not even 3.0. Its companion for phases is _phase."""
+class SizeLimitError(ValueError):
+    """A count above the largest its computation is admitted at: `need n <= 30, got 31`."""
+
+
+def _count(n: int, least: int, name: str = "n", most: int | None = None) -> int:
+    """n as an int, or a ValueError: `need an integer n, got 2.5` or `need n >= 2, got 1`, and
+    above most a SizeLimitError, `need n <= 30, got 31`. The library's one check of a photon,
+    mode or sample number and of every size limit, made before any array is built; a numpy
+    integer passes, a float or a bool never does, not even 3.0. Its companion for phases is
+    _phase."""
     try:
+        if n is True or n is False:  # an int subclass, which operator.index takes
+            raise TypeError
         n = operator.index(n)
     except TypeError:
         raise ValueError(f"need an integer {name}, got {n}") from None
     if n < least:
         raise ValueError(f"need {name} >= {least}, got {n}")
+    if most is not None and n > most:
+        raise SizeLimitError(f"need {name} <= {most}, got {n}")
     return n
 
 
@@ -130,10 +141,11 @@ def _circulant(d: NDArray[np.complex128]) -> NDArray[np.complex128]:
 
     With 1-based V, (V D V+)[j, l] = (1/n) sum_m d_m w^((l - j) m), m = 1..n, w = e^(2 pi i/n),
     and w^((l - j) m) = w^(-(l - j)(n - m)), so row 0 is the DFT of the reversed mask over n,
-    one product with the cached _dft(n), and row j is row 0 rotated by j.
+    one vector-matrix product with the cached _dft(n) per mask, so a stack of masks gives
+    each the bits it gets alone, and row j is row 0 rotated by j.
     """
     n = d.shape[-1]
-    return (d @ _dft(n))[..., _rotations(n)]
+    return (d[..., None, :] @ _dft(n))[..., 0, _rotations(n)]
 
 
 def compose_qufti(spec: InterferometerSpec) -> NDArray[np.complex128]:

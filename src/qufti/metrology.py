@@ -33,7 +33,7 @@ import numpy as np
 from . import analytics
 from .analytics import _libm, _result
 from .matrices import InterferometerSpec, _circulant, _count, _phase, compose_qufti
-from .permanent import SizeLimitError, _walk, permanent_with_repeats
+from .permanent import RYSER_DIM_LIMIT, _walk, permanent_with_repeats
 
 # Noiseless P this close to a double root (0 or 1, relative) takes the root's limit.
 ROOT_TOL = 1e-9
@@ -210,11 +210,7 @@ def fock_output_distribution(spec: InterferometerSpec) -> OutcomeDistribution:
     |Per(U with column k repeated s_k times)|^2 / prod_k s_k!.
     Serves as the normalization oracle: probabilities must sum to 1.
     """
-    n = spec.n
-    if n > DISTRIBUTION_MODE_LIMIT:
-        raise SizeLimitError(
-            f"distribution enumeration limited to n <= {DISTRIBUTION_MODE_LIMIT}, got {n}"
-        )
+    n = _count(spec.n, 1, most=DISTRIBUTION_MODE_LIMIT)
     u = compose_qufti(spec)
     entries = [(occ, abs(permanent_with_repeats(u, occ)) ** 2 / norm) for occ, norm in _outcomes(n)]
     return OutcomeDistribution(n=n, entries=entries)
@@ -229,7 +225,8 @@ def sensitivity_for_mask(spec: InterferometerSpec) -> float:
     The weights are shifted by -weights[0] (a global phase leaves P unchanged) and scaled
     by 2^-e to span [n/2, n), exactly: delta_phi(w, phi) = delta_phi(w / 2^e, 2^e phi) / 2^e.
     """
-    n, phi = _count(spec.n, 2), float(spec.phi)  # Python floats: numpy scalars warn on overflow
+    n = _count(spec.n, 2, most=RYSER_DIM_LIMIT)  # before any matrix is built
+    phi = float(spec.phi)  # Python floats: numpy scalars warn on overflow
     w = range(n) if spec.weights is None else list(map(float, spec.weights))
     spread = max(abs(x - w[0]) for x in w)
     _phase(spread, phi)

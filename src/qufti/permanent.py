@@ -48,14 +48,10 @@ from collections.abc import Iterator
 import numpy as np
 from numpy.typing import NDArray
 
-from .matrices import _rotations
+from .matrices import SizeLimitError, _count, _rotations  # SizeLimitError re-exported
 
-
-class SizeLimitError(ValueError):
-    """Requested problem size exceeds a configured guard."""
-
-
-# Size guards; tune for the machine at hand, they are not algorithmic limits.
+# Size guards, checked by matrices._count; tune for the machine at hand, they are not
+# algorithmic limits.
 NAIVE_DIM_LIMIT = 10
 RYSER_DIM_LIMIT = 30
 
@@ -82,11 +78,7 @@ def permanent_naive(m: NDArray[np.complex128]) -> complex:
 
     Factorial time; exists as the independent oracle for the Glynn kernel.
     """
-    n = _check_square(m)
-    if n > NAIVE_DIM_LIMIT:
-        raise SizeLimitError(
-            f"naive permanent limited to dim <= {NAIVE_DIM_LIMIT}, got {n}"
-        )
+    n = _count(_check_square(m), 0, most=NAIVE_DIM_LIMIT)
     rows = [list(map(complex, row)) for row in m]
     total = 0j
     for perm in itertools.permutations(range(n)):
@@ -229,12 +221,11 @@ def _walk(a: NDArray[np.complex128]) -> np.complex128 | NDArray[np.complex128]:
 
     Glynn's sum takes one sign vector per rotation orbit if every A_m is circulant, and all
     2^(n-1) otherwise. Each one's row sums are one entry of each half of the half-sum table
-    added: one add per row sum, nothing carried from one vector to the next.
+    added: one add per row sum, nothing carried from one vector to the next. Its callers
+    check that 1 <= n <= RYSER_DIM_LIMIT.
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
     k, n, _ = a.shape
-    if n > RYSER_DIM_LIMIT:
-        raise SizeLimitError(f"exact permanent limited to dim <= {RYSER_DIM_LIMIT}, got {n}")
     halves = a.reshape(k * n, n) @ _half_rows(n)[0]  # every entry's half sum, per row
     blocks = _orbit_schedule(n) if n > 1 and _is_circulant(a) else _plain_blocks(n)
     total = 0j
@@ -254,8 +245,7 @@ def permanent_ryser(m: NDArray[np.complex128]) -> complex:
     orbit for a circulant; the name is Ryser's, whose formula this kernel
     evaluated before (see the module note).
     """
-    n = _check_square(m)
-    if n == 0:
+    if _count(_check_square(m), 0, most=RYSER_DIM_LIMIT) == 0:
         return 1 + 0j
     return complex(_walk(np.asarray(m)[None]))
 

@@ -43,6 +43,8 @@ def test_exported_names():
     assert sorted(qufti.__all__) == PUBLIC_NAMES
     for name in qufti.__all__:
         assert getattr(qufti, name) is not None
+    # the size-limit error lives beside the count check and keeps its old name in permanent
+    assert qufti.SizeLimitError is qufti.matrices.SizeLimitError is qufti.permanent.SizeLimitError
 
 
 def test_benchmark_layer_functions_exist():

@@ -241,10 +241,10 @@ def test_reproduce_figures_script(tmp_path):
 
 # Domain limits are checked by the library alone; the CLI maps its error to exit 2.
 LIBRARY_DOMAIN_ERRORS = [
-    (["verify", "--n-max", "31"], "n_max must be in 2..30, got 31"),
+    (["verify", "--n-max", "31"], "need n_max <= 30, got 31"),
     (["verify", "--n-max", "1"], "need n_max >= 2, got 1"),
     (["verify", "--n-max", "4", "--samples", "0"], "need phi_samples >= 1, got 0"),
-    (["distribution", "--n", "10", "--phi", "0.1"], "limited to n <= 9, got 10"),
+    (["distribution", "--n", "10", "--phi", "0.1"], "need n <= 9, got 10"),
     (["distribution", "--n", "0", "--phi", "0.1"], "need n >= 1, got 0"),
     (["phase-scan", "--n", "0"], "need n >= 1, got 0"),
     (["sensitivity-scan", "--n-min", "1", "--n-max", "3"], "need n >= 2, got 1"),

@@ -8,20 +8,24 @@ import pytest
 from qufti import (
     DephasingParams,
     InterferometerSpec,
+    SizeLimitError,
     coincidence_probability,
     compose_qufti,
     conjecture_verify,
     dephased_sensitivity,
+    fock_output_distribution,
     noon_dephased_sensitivity,
     orc_photon_count,
     permanent_closed_form,
+    permanent_naive,
+    permanent_ryser,
     phase_sensitivity_small_angle,
     probability_derivative,
     protocol_efficiency,
     qft_matrix,
     sensitivity_for_mask,
 )
-from qufti.matrices import _dft, _gradient, _rotations, phase_vector
+from qufti.matrices import _circulant, _dft, _gradient, _rotations, phase_vector
 
 # Denominator modulus below which the closed-form entry is treated as 0/0.
 SINGULAR_TOL = 1e-14
@@ -229,11 +233,42 @@ def test_count_is_one_check(call, name, least):
     for bad, message in [
         (2.5, f"need an integer {name}, got 2.5"),
         (3.0, f"need an integer {name}, got 3.0"),
+        (True, f"need an integer {name}, got True"),  # an int subclass, as np.True_ is not
         (least - 1, f"need {name} >= {least}, got {least - 1}"),
     ]:
         with pytest.raises(ValueError) as exc:
             call(bad)
         assert str(exc.value) == message
+
+
+# Every size limit is the upper bound of a count in matrices._count: (call, its message).
+SIZE_LIMITS = {
+    "permanent_naive": (lambda: permanent_naive(np.eye(11)), "need n <= 10, got 11"),
+    "permanent_ryser": (lambda: permanent_ryser(np.eye(31)), "need n <= 30, got 31"),
+    "conjecture_verify": (lambda: conjecture_verify(31, 2), "need n_max <= 30, got 31"),
+    "fock_output_distribution": (
+        lambda: fock_output_distribution(InterferometerSpec(10, 0.1)), "need n <= 9, got 10"
+    ),
+    "sensitivity_for_mask": (
+        lambda: sensitivity_for_mask(InterferometerSpec(31, 0.1)), "need n <= 30, got 31"
+    ),
+}
+
+
+@pytest.mark.parametrize("call,message", SIZE_LIMITS.values(), ids=SIZE_LIMITS.keys())
+def test_size_limit_is_one_check(call, message):
+    with pytest.raises(SizeLimitError) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
+    assert str(exc.value) == message
+
+
+def test_oversize_mask_sensitivity_builds_nothing():
+    # refused before V D V+ is composed: the 1500-mode DFT is neither built nor looked up
+    before = _dft.cache_info()
+    with pytest.raises(SizeLimitError):
+        sensitivity_for_mask(InterferometerSpec(1500, 0.1))
+    assert _dft.cache_info() == before
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
@@ -274,6 +309,17 @@ def test_compose_bit_identical_to_product_with_reversed_dft():
             first = phase_vector(spec) @ reversed_dft
             fresh = np.array([np.roll(first, j) for j in range(n)])
             assert compose_qufti(spec).tobytes() == fresh.tobytes(), (n, fields)
+
+
+def test_stacked_masks_compose_with_the_bits_of_single_masks():
+    # one vector-matrix product per mask: a stack of masks, as sensitivity_for_mask takes,
+    # gives each the bits compose_qufti's single mask gets
+    rng = np.random.default_rng(32)
+    for n in range(1, 31):
+        for _ in range(20):
+            d = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+            for mask, u in zip(d, _circulant(d)):
+                assert u.tobytes() == _circulant(mask).tobytes(), n
 
 
 def test_cached_dft_is_read_only_and_accurate():

@@ -140,20 +140,15 @@ def conjecture_verify(n_max: int, phi_samples: int) -> ConjectureReport:
     """Check the product form against the exact (Glynn) permanent on a phi grid.
 
     Scans n = 2..n_max and phi_samples uniform points over [0, 2 pi); the
-    first worst case in scan order is reported.
+    first worst case in scan order is reported, and a NaN error is the worst.
     """
     n_max = _count(n_max, 2, "n_max", most=RYSER_DIM_LIMIT)
     phi_samples = _count(phi_samples, 1, "phi_samples")
-    err, n_worst, phi_worst = -1.0, 2, 0.0
-    for n in range(2, n_max + 1):
-        for phi in np.linspace(0.0, 2 * np.pi, phi_samples, endpoint=False):
-            spec = InterferometerSpec(n=n, phi=float(phi))
-            e = abs(permanent_ryser(compose_qufti(spec)) - permanent_closed_form(n, float(phi)))
-            if e > err:
-                err, n_worst, phi_worst = e, n, float(phi)
-    return ConjectureReport(
-        n_range=(2, n_max),
-        samples=phi_samples,
-        max_abs_error=err,
-        worst_case=(n_worst, phi_worst),
-    )
+    phis = np.linspace(0.0, 2 * np.pi, phi_samples, endpoint=False).tolist()
+    errors = np.fromiter((
+        abs(permanent_ryser(compose_qufti(InterferometerSpec(n, phi)))
+            - permanent_closed_form(n, phi)) for n in range(2, n_max + 1) for phi in phis
+    ), float)
+    worst = int(np.argmax(errors))  # the first NaN, or else the first largest error
+    n, k = divmod(worst, phi_samples)
+    return ConjectureReport((2, n_max), phi_samples, float(errors[worst]), (2 + n, phis[k]))

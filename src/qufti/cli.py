@@ -30,23 +30,24 @@ VERIFY_THRESHOLD = 1e-9
 _BLOCK = 1024
 
 
-def _write_lines(path: str, lines: Iterable[str]) -> int:
-    """Write each line and a newline to a sibling temporary file, then move it to path.
+def _write_text(path: str, chunks: Iterable[str]) -> int:
+    """Write each string as given to a sibling temporary file, then move it to path.
 
-    Lines may come from a generator that computes them as they are written.
+    Strings may come from a generator that computes them as they are written.
     If it raises, the temporary file is removed: a failed run leaves no file
-    at path, or the old file untouched. Returns the number of lines written.
+    at path, or the old file untouched. Returns the number of newlines written.
     """
-    # A device or pipe (/dev/null, say) is written in place: replacing it
-    # would leave a regular file where the node was.
+    # A device or pipe (/dev/null, say) is written in place, as replacing it would
+    # leave a regular file there; a symlink's target is replaced, and the link stays.
     special = os.path.exists(path) and not os.path.isfile(path)
+    path = path if special else os.path.realpath(path)
     tmp = path if special else f"{path}.{os.getpid()}.tmp"
     count = 0
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-                count += 1
+            for chunk in chunks:
+                fh.write(chunk)
+                count += chunk.count("\n")
         if not special:
             os.replace(tmp, path)
     except BaseException:
@@ -71,7 +72,7 @@ def _check_finite(args: argparse.Namespace, *names: str) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     report = analytics.conjecture_verify(args.n_max, args.samples)
-    _write_lines(args.out, [json.dumps(report.to_json_dict(), indent=2)])
+    _write_text(args.out, [json.dumps(report.to_json_dict(), indent=2) + "\n"])
     summary = f"max_abs_error={report.max_abs_error:.3e} kernel={KERNEL}"
     if report.max_abs_error < VERIFY_THRESHOLD:
         print(f"conjecture holds: max |error| = {report.max_abs_error:.3e}")
@@ -94,13 +95,12 @@ def cmd_phase_scan(args: argparse.Namespace) -> tuple[int, str]:
         raise ValueError("--phi-max minus --phi-min overflows a float")
 
     def rows() -> Iterator[str]:
-        yield "phi,P"
+        yield "phi,P\n"
         for phis in _blocks(np.linspace(args.phi_min, args.phi_max, args.steps)):
             ps = analytics.coincidence_probability(args.n, phis)
-            for phi, p in zip(phis.tolist(), ps.tolist()):
-                yield f"{phi!r},{p!r}"
+            yield "".join([f"{phi!r},{p!r}\n" for phi, p in zip(phis.tolist(), ps.tolist())])
 
-    return 0, f"rows={_write_lines(args.out, rows()) - 1}"
+    return 0, f"rows={_write_text(args.out, rows()) - 1}"
 
 
 def cmd_sensitivity_scan(args: argparse.Namespace) -> tuple[int, str]:
@@ -108,14 +108,14 @@ def cmd_sensitivity_scan(args: argparse.Namespace) -> tuple[int, str]:
         raise ValueError("need --n-min <= --n-max")
 
     def rows() -> Iterator[str]:
-        yield "n,phi,P,dP,delta_phi,snl,hl"
+        yield "n,phi,P,dP,delta_phi,snl,hl\n"
         for n in range(args.n_min, args.n_max + 1):
             delta = metrology.phase_sensitivity_small_angle(n)
             snl = metrology.shotnoise_limit(n)
             hl = metrology.heisenberg_limit(n)
-            yield f"{n},0.0,1.0,0.0,{delta!r},{snl!r},{hl!r}"
+            yield f"{n},0.0,1.0,0.0,{delta!r},{snl!r},{hl!r}\n"
 
-    return 0, f"rows={_write_lines(args.out, rows()) - 1}"
+    return 0, f"rows={_write_text(args.out, rows()) - 1}"
 
 
 def cmd_dephasing(args: argparse.Namespace) -> tuple[int, str]:
@@ -128,7 +128,7 @@ def cmd_dephasing(args: argparse.Namespace) -> tuple[int, str]:
         raise ValueError(f"--chi-max squared overflows a float, got {args.chi_max!r}") from None
 
     def rows() -> Iterator[str]:
-        yield "n,chi,delta_phi_qufti,delta_phi_noon"
+        yield "n,chi,delta_phi_qufti,delta_phi_noon\n"
         chi_grid = np.linspace(0.0, args.chi_max, args.steps)
         for n in args.n_list:
             big_n = metrology.orc_photon_count(n)
@@ -138,21 +138,21 @@ def cmd_dephasing(args: argparse.Namespace) -> tuple[int, str]:
                 params = metrology.DephasingParams(chi_sq=np.array([chi ** 2 for chi in chis]))
                 dphi = metrology.dephased_sensitivity(n, args.phi, params)
                 dphi_noon = metrology.noon_dephased_sensitivity(big_n, args.phi, params)
-                for chi, d, d_noon in zip(chis, dphi.tolist(), dphi_noon.tolist()):
-                    yield f"{n},{chi!r},{d!r},{d_noon!r}"
+                points = zip(chis, dphi.tolist(), dphi_noon.tolist())
+                yield "".join([f"{n},{chi!r},{d!r},{d_noon!r}\n" for chi, d, d_noon in points])
 
-    return 0, f"rows={_write_lines(args.out, rows()) - 1}"
+    return 0, f"rows={_write_text(args.out, rows()) - 1}"
 
 
 def _distribution_json(dist: metrology.OutcomeDistribution) -> Iterator[str]:
     """The text of json.dumps(dist.to_json_dict(), indent=2), one entry per string.
 
     json writes an indented document with its pure-Python encoder, several
-    times slower than this. Joined by newlines, the strings are that text for
-    any distribution of n >= 1 modes: every entry list and occupation is
-    non-empty. A float is written as json writes it: its repr, or NaN/Infinity.
+    times slower than this. Concatenated, the strings are that text and a
+    newline for any n >= 1: every entry list and occupation is non-empty. A
+    float is written as json writes it: its repr, or NaN/Infinity.
     """
-    yield f'{{\n  "n": {dist.n},\n  "entries": ['
+    yield f'{{\n  "n": {dist.n},\n  "entries": [\n'
     last = len(dist.entries) - 1
     for i, (occ, p) in enumerate(dist.entries):
         counts = ",\n        ".join(map(str, occ))
@@ -160,15 +160,15 @@ def _distribution_json(dist: metrology.OutcomeDistribution) -> Iterator[str]:
         comma = "," if i < last else ""
         yield (
             f'    {{\n      "occupation": [\n        {counts}\n      ],\n'
-            f'      "probability": {prob}\n    }}{comma}'
+            f'      "probability": {prob}\n    }}{comma}\n'
         )
-    yield "  ]\n}"
+    yield "  ]\n}\n"
 
 
 def cmd_distribution(args: argparse.Namespace) -> tuple[int, str]:
     spec = InterferometerSpec(n=args.n, phi=args.phi)
     dist = metrology.fock_output_distribution(spec)
-    _write_lines(args.out, _distribution_json(dist))
+    _write_text(args.out, _distribution_json(dist))
     return 0, f"outcomes={len(dist.entries)} residual={abs(dist.total() - 1.0):.3e}"
 
 

@@ -47,7 +47,12 @@ DISTRIBUTION_MODE_LIMIT = 9
 
 @dataclass(frozen=True)
 class DephasingParams:
-    """Per-mode Gaussian phase noise, parameterized by its variance <dchi^2>."""
+    """Dephasing as a damping law, parameterized by a variance <dchi^2>.
+
+    cos(n phi) in each factor of P is damped by exp(-n^2 <dchi^2> / 2). That is
+    not the average over independent per-mode phases chi_k ~ N(0, <dchi^2>): at
+    n = 8, phi = 0.01 and <dchi^2> = 0.1^2 it gives P = 0.463, the average 0.865.
+    """
 
     chi_sq: float | np.ndarray  # an array holds one variance per sweep point
 

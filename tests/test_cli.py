@@ -24,7 +24,8 @@ from qufti import (
     orc_photon_count,
     phase_sensitivity_small_angle,
 )
-from qufti.cli import _BLOCK, main
+import qufti.cli as cli
+from qufti.cli import _BLOCK, _write_text, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,6 +60,32 @@ def test_verify_detects_corrupted_product_form(tmp_path, monkeypatch):
     monkeypatch.setattr(analytics, "permanent_closed_form", corrupted)
     out = tmp_path / "bad.json"
     assert run(["verify", "--n-max", "4", "--samples", "8", "--out", str(out), "--threads", "1"]) == 1
+
+
+def _nan_closed_form(monkeypatch, at_n):
+    import qufti.analytics as analytics
+
+    original = analytics.permanent_closed_form
+
+    def nan_at(n, phi):
+        return complex(math.nan, 0.0) if at_n is None or n == at_n else original(n, phi)
+
+    monkeypatch.setattr(analytics, "permanent_closed_form", nan_at)
+
+
+@pytest.mark.parametrize("at_n", [3, None])
+def test_verify_nan_error_fails_at_first_nan(tmp_path, capsys, monkeypatch, at_n):
+    # a NaN error is the worst case, whether at one n or at every n
+    _nan_closed_form(monkeypatch, at_n)
+    out = tmp_path / "nan.json"
+    assert run(["verify", "--n-max", "5", "--samples", "4", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    n_first = 2 if at_n is None else at_n
+    assert math.isnan(report["max_abs_error"])
+    assert report["worst_case"] == {"n": n_first, "phi": 0.0}
+    captured = capsys.readouterr()
+    assert "conjecture holds" not in captured.out
+    assert f"FAILED: max |error| = nan at n={n_first}, phi=0.0" in captured.err
 
 
 def test_phase_scan_first_row_unity(tmp_path):
@@ -401,6 +428,73 @@ def test_pipe_out_is_written_in_place(tmp_path):
     regular = tmp_path / "regular.csv"
     assert run(["sensitivity-scan", "--n-max", "3", "--out", str(regular)]) == 0
     assert received[0] == regular.read_bytes()
+
+
+@pytest.mark.parametrize("through", ["link", "dangling link"])
+def test_symlink_out_keeps_link_and_writes_target(tmp_path, through):
+    links, targets = tmp_path / "links", tmp_path / "targets"
+    links.mkdir()
+    targets.mkdir()
+    link, target = links / "scan.csv", targets / "scan.csv"
+    if through == "link":
+        target.write_bytes(b"earlier,run\n")
+    link.symlink_to(target)
+    assert run(["sensitivity-scan", "--n-max", "3", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    regular = tmp_path / "regular.csv"
+    assert run(["sensitivity-scan", "--n-max", "3", "--out", str(regular)]) == 0
+    assert target.read_bytes() == regular.read_bytes()
+    assert [p.name for p in links.iterdir()] == ["scan.csv"]  # no temporary file left
+    assert [p.name for p in targets.iterdir()] == ["scan.csv"]
+
+
+def _spy_on_writes(monkeypatch):
+    """The strings given to each write on a file the CLI opens, in order."""
+    writes = []
+
+    class Spy:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            writes.append(text)
+            return self.fh.write(text)
+
+        def __enter__(self):
+            self.fh.__enter__()
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: Spy(open(*a, **k)), raising=False)
+    return writes
+
+
+def test_write_text_writes_each_string_as_given(tmp_path, monkeypatch):
+    writes = _spy_on_writes(monkeypatch)
+    chunks = ["a,b\n", "", "1,2\n3,4\n", "no newline"]
+    out = tmp_path / "out.txt"
+    assert _write_text(str(out), iter(chunks)) == 3  # the newlines written
+    assert writes == chunks
+    assert out.read_text() == "".join(chunks)
+
+
+def test_sweeps_write_once_per_block(tmp_path, monkeypatch, capsys):
+    # the header, then one string per block of _BLOCK points
+    writes = _spy_on_writes(monkeypatch)
+    out = tmp_path / "scan.csv"
+    assert run(["phase-scan", "--n", "3", "--steps", str(2 * _BLOCK + 3), "--out", str(out)]) == 0
+    assert len(writes) == 1 + 3
+    assert run([
+        "dephasing", "--n-list", "2", "5", "--steps", str(_BLOCK + 1), "--out", str(out),
+    ]) == 0
+    assert len(writes) == 4 + 1 + 2 * 2
+    assert all(text.endswith("\n") for text in writes)
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" elapsed_s=")[0] for line in err] == [
+        f"phase-scan: rows={2 * _BLOCK + 3}", f"dephasing: rows={2 * (_BLOCK + 1)}",
+    ]
 
 
 def test_sweeps_match_scalar_rows_across_blocks(tmp_path):

@@ -196,6 +196,22 @@ def test_dephased_probability_between_limits():
     assert p_inf < p_mid < p0
 
 
+def test_dephasing_model_is_not_the_average_over_per_mode_phase_noise():
+    # The damping law exp(-n^2 <dchi^2> / 2) on cos(n phi) in every factor of P is
+    # not the average of |Per(U)|^2 over independent per-mode phases chi_k ~ N(0, sigma^2):
+    # at n = 4, phi = 0.01, sigma = 0.1 the average is the larger by far more than its noise
+    n, phi, sigma, draws = 4, 0.01, 0.1, 4000
+    rng = np.random.default_rng(1501)
+    weights = np.arange(n) * phi
+    samples = np.array([
+        abs(permanent_ryser(compose_qufti(InterferometerSpec(n, 1.0, weights=tuple(w))))) ** 2
+        for w in (weights + rng.normal(0.0, sigma, (draws, n))).tolist()
+    ])
+    stderr = samples.std(ddof=1) / math.sqrt(draws)
+    model = dephased_probability(n, phi, DephasingParams(sigma**2))
+    assert samples.mean() - model > 10 * stderr
+
+
 def test_dephased_sensitivity_monotone_in_noise():
     for n in (3, 6, 10):
         values = [

@@ -92,6 +92,9 @@ def _signal(n: int, phi, damping):
     call starts the running product p = P from ones, so n = 1 keeps its shape."""
     n = _count(n, 1)
     x = _phase(n, phi)
+    d = np.asarray(damping)
+    if (bad := d[~((d >= 0) & (d <= 1))]).size:  # the first damping outside [0, 1], or NaN
+        raise ValueError(f"need 0 <= damping <= 1, got {float(bad[0])!r}")
     sin = _libm(math.sin, x)
     c = _libm(math.cos, x) * damping
     factors = _factors(n, c)

@@ -52,7 +52,7 @@ def _phase(w: float, phi: float | np.ndarray) -> float | np.ndarray:
     closed forms' n, the NOON comparator's N or the mask sensitivity's weight spread. Its
     companion for counts is _count."""
     if type(phi) is float:
-        x = float(w) * phi  # a numpy integer w would give a numpy float, which warns on overflow
+        x = w * phi  # w, a checked count or weight, is a Python number: no numpy warning
         if not math.isfinite(x):
             raise ValueError(f"{w} * phi must be finite, got phi = {phi!r}")
         return x
@@ -69,8 +69,8 @@ def _phase(w: float, phi: float | np.ndarray) -> float | np.ndarray:
 class InterferometerSpec:
     """Parameters of one interferometer instance.
 
-    n is the photon/mode count, phi the unknown phase and weights the
-    phase each mode picks up per unit of phi (None: the gradient 0..n-1).
+    n is the photon/mode count, phi the unknown phase and weights the phase each mode picks up
+    per unit of phi (None: the gradient 0..n-1): an int, a float and a tuple of floats.
     """
 
     n: int
@@ -79,13 +79,15 @@ class InterferometerSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _count(self.n, 1))
+        object.__setattr__(self, "phi", float(self.phi))
         if self.weights is not None:
+            object.__setattr__(self, "weights", tuple(map(float, self.weights)))
             if len(self.weights) != self.n:
                 raise ValueError(f"got {len(self.weights)} weights, expected {self.n}")
-            if not all(math.isfinite(w) for w in self.weights):
+            if not all(map(math.isfinite, self.weights)):
                 raise ValueError("weights must be finite")
-        big = self.n - 1 if self.weights is None else float(max(map(abs, self.weights)))
-        _phase(big, float(self.phi))  # the largest phase phase_vector forms
+        big = self.n - 1 if self.weights is None else max(map(abs, self.weights))
+        _phase(big, self.phi)  # the largest phase phase_vector forms
 
 
 def qft_matrix(n: int) -> NDArray[np.complex128]:
@@ -110,7 +112,7 @@ def _gradient(n: int) -> NDArray[np.float64]:
 
 def phase_vector(spec: InterferometerSpec) -> NDArray[np.complex128]:
     """Diagonal of the phase mask, exp(i weights[j] phi), as unit-modulus amplitudes."""
-    w = _gradient(spec.n) if spec.weights is None else np.asarray(spec.weights, dtype=float)
+    w = _gradient(spec.n) if spec.weights is None else np.array(spec.weights)
     return np.exp(1j * (w * spec.phi))
 
 

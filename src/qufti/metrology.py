@@ -44,6 +44,8 @@ STATIONARY_SIN_TOL = 1e-12
 # Outcome enumeration guard: C(2n-1, n) outcomes, each needing a permanent.
 DISTRIBUTION_MODE_LIMIT = 9
 
+SMALL_ANGLE_N_LIMIT = 2**341 - 2**287  # the largest n with 2.0 n (n + 1) (n - 1) finite
+
 
 @dataclass(frozen=True)
 class DephasingParams:
@@ -96,7 +98,7 @@ class OutcomeDistribution:
 
 def phase_sensitivity_small_angle(n: int) -> float:
     """Sensitivity at the phi -> 0 operating point, sqrt(3/(2n(n+1)(n-1)))."""
-    n = _count(n, 2)
+    n = _count(n, 2, most=SMALL_ANGLE_N_LIMIT)
     return math.sqrt(3.0 / (2.0 * n * (n + 1) * (n - 1)))
 
 
@@ -231,12 +233,11 @@ def sensitivity_for_mask(spec: InterferometerSpec) -> float:
     by 2^-e to span [n/2, n), exactly: delta_phi(w, phi) = delta_phi(w / 2^e, 2^e phi) / 2^e.
     """
     n = _count(spec.n, 2, most=RYSER_DIM_LIMIT)  # before any matrix is built
-    phi = float(spec.phi)  # Python floats: numpy scalars warn on overflow
-    w = range(n) if spec.weights is None else list(map(float, spec.weights))
+    w = range(n) if spec.weights is None else spec.weights  # Python floats, which never warn
     spread = max(abs(x - w[0]) for x in w)
-    _phase(spread, phi)
+    _phase(spread, spec.phi)
     e = math.frexp(spread / n)[1]
-    w, phi = np.array([math.ldexp(x - w[0], -e) for x in w]), math.ldexp(phi, e)
+    w, phi = np.array([math.ldexp(x - w[0], -e) for x in w]), math.ldexp(spec.phi, e)
     d = np.exp(1j * (w * phi)) * np.array([np.ones(n), 1j * w, -0.5 * w * w])
     per, d1, d2 = _walk(_circulant(d))  # U, U' and U''/2 = V D diag(1, i w, -w^2 / 2) V+
     dp = 2.0 * (per.conjugate() * d1).real

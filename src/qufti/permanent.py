@@ -66,11 +66,13 @@ _BLOCK = 1024
 _SCAN = 1 << 16
 
 
-def _check_square(m: NDArray[np.complex128]) -> int:
-    shape = np.shape(m)  # a nested list has a shape too
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"matrix must be square, got shape {shape}")
-    return shape[0]
+def _square(m: NDArray[np.complex128], most: int) -> NDArray[np.complex128]:
+    """m as a square C-order complex array of at most `most` rows: the kernel's one check."""
+    a = np.asarray(m, dtype=np.complex128, order="C")  # a nested list too
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    _count(a.shape[0], 0, most=most)
+    return a
 
 
 def permanent_naive(m: NDArray[np.complex128]) -> complex:
@@ -78,10 +80,9 @@ def permanent_naive(m: NDArray[np.complex128]) -> complex:
 
     Factorial time; exists as the independent oracle for the Glynn kernel.
     """
-    n = _count(_check_square(m), 0, most=NAIVE_DIM_LIMIT)
-    rows = [list(map(complex, row)) for row in m]
+    rows = _square(m, NAIVE_DIM_LIMIT).tolist()
     total = 0j
-    for perm in itertools.permutations(range(n)):
+    for perm in itertools.permutations(range(len(rows))):
         prod = 1 + 0j
         for i, j in enumerate(perm):
             prod *= rows[i][j]
@@ -222,9 +223,8 @@ def _walk(a: NDArray[np.complex128]) -> np.complex128 | NDArray[np.complex128]:
     Glynn's sum takes one sign vector per rotation orbit if every A_m is circulant, and all
     2^(n-1) otherwise. Each one's row sums are one entry of each half of the half-sum table
     added: one add per row sum, nothing carried from one vector to the next. Its callers
-    check that 1 <= n <= RYSER_DIM_LIMIT.
+    check that 1 <= n <= RYSER_DIM_LIMIT and pass a C-order complex stack.
     """
-    a = np.ascontiguousarray(a, dtype=np.complex128)
     k, n, _ = a.shape
     halves = a.reshape(k * n, n) @ _half_rows(n)[0]  # every entry's half sum, per row
     blocks = _orbit_schedule(n) if n > 1 and _is_circulant(a) else _plain_blocks(n)
@@ -245,9 +245,8 @@ def permanent_ryser(m: NDArray[np.complex128]) -> complex:
     orbit for a circulant; the name is Ryser's, whose formula this kernel
     evaluated before (see the module note).
     """
-    if _count(_check_square(m), 0, most=RYSER_DIM_LIMIT) == 0:
-        return 1 + 0j
-    return complex(_walk(np.asarray(m)[None]))
+    a = _square(m, RYSER_DIM_LIMIT)
+    return complex(_walk(a[None])) if len(a) else 1 + 0j
 
 
 def permanent_with_repeats(
@@ -255,17 +254,18 @@ def permanent_with_repeats(
 ) -> complex:
     """Permanent of the matrix with column k repeated col_multiplicities[k] times.
 
-    Multiplicities are non-negative integers summing to the dimension;
+    Multiplicities are non-negative integers summing to the dimension, never bools;
     all-ones reduces to permanent_ryser on the original matrix.
     """
-    n = _check_square(m)
+    n = len(a := _square(m, RYSER_DIM_LIMIT))
     try:
         mult = list(map(operator.index, col_multiplicities))
     except TypeError:  # a float, a string or a numpy bool
         mult = None
-    if mult is None or len(mult) != n or min(mult, default=0) < 0:
+    if (mult is None or len(mult) != n or min(mult, default=0) < 0
+            or bool in map(type, col_multiplicities)):  # operator.index takes a Python bool
         raise ValueError(f"multiplicities must be {n} non-negative integers")
     total = sum(mult)
     if total != n:
         raise ValueError(f"multiplicities sum to {total}, expected {n}")
-    return permanent_ryser(np.repeat(m, mult, axis=1))
+    return permanent_ryser(np.repeat(a, mult, axis=1))

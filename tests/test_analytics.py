@@ -267,3 +267,18 @@ def test_array_path_bit_identical_to_scalar_loop():
     # a float call returns a float, so the CLI's repr prints a plain number
     assert type(coincidence_probability(3, 0.2)) is float
     assert type(probability_derivative(3, 0.2, 0.5)) is float
+
+
+@pytest.mark.parametrize("damping,first", [
+    (2.0, "2.0"), (-1.0, "-1.0"), (math.nan, "nan"), (np.float64(1.5), "1.5"),
+    (np.array([0.5, 1.5, -2.0]), "1.5"), (np.array([[1.0], [math.nan]]), "nan"),
+], ids=["above", "below", "nan", "numpy_float", "array", "array_nan"])
+def test_damping_outside_unit_interval_is_refused(damping, first):
+    # P is a probability only for a damping in [0, 1]: 2.0 gave P = 1.228 at n = 3, phi = 0.3
+    for call in (coincidence_probability, probability_derivative):
+        with pytest.raises(ValueError) as exc:
+            call(3, np.array([0.3, 0.4]), damping)
+        assert str(exc.value) == f"need 0 <= damping <= 1, got {first}"
+    # both ends of the interval are admitted: no signal leaves prod_j b(j) / n^2 = 25 / 81
+    assert coincidence_probability(3, 0.3, 0.0) == pytest.approx(25 / 81)
+    assert coincidence_probability(3, 0.3, np.array([0.0, 1.0])).shape == (2,)

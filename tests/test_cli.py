@@ -266,6 +266,18 @@ def test_reproduce_figures_script(tmp_path):
     assert json.loads((tmp_path / "conjecture_report.json").read_text())["n_range"] == [2, 6]
 
 
+@pytest.mark.parametrize("n", [10**103, 10**155], ids=["10**103", "10**155"])
+def test_sensitivity_scan_beyond_the_finite_product_exits_2(tmp_path, capsys, n):
+    # the law's 2n(n + 1)(n - 1) overflowed: 10**103 wrote delta_phi 0.0 and exited 0, and
+    # 10**155 ended in a traceback from the shot-noise limit
+    out = tmp_path / "sens.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["sensitivity-scan", "--n-min", str(n), "--n-max", str(n), "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert f"need n <= {2**341 - 2**287}, got {n}" in capsys.readouterr().err
+
+
 # Domain limits are checked by the library alone; the CLI maps its error to exit 2.
 LIBRARY_DOMAIN_ERRORS = [
     (["verify", "--n-max", "31"], "need n_max <= 30, got 31"),

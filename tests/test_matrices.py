@@ -19,6 +19,7 @@ from qufti import (
     permanent_closed_form,
     permanent_naive,
     permanent_ryser,
+    permanent_with_repeats,
     phase_sensitivity_small_angle,
     probability_derivative,
     protocol_efficiency,
@@ -109,6 +110,24 @@ def test_nonfinite_weight_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="weights must be finite"):
             InterferometerSpec(n=3, phi=0.5, weights=(0.0, bad, 2.0))
+
+
+@pytest.mark.parametrize("phi,weights", [
+    (np.float64(0.1), None), ("0.1", None),
+    (0.4, [0, 1, 3]), (np.float32(0.4), np.array([0, 1, 3])),
+], ids=["numpy_phi", "string_phi", "list_weights", "array_weights"])
+def test_spec_keeps_a_float_phase_and_a_tuple_of_float_weights(phi, weights):
+    spec = InterferometerSpec(3, phi, weights)
+    assert type(spec.phi) is float and spec.phi == float(phi)
+    assert spec.weights is None or spec.weights == (0.0, 1.0, 3.0)
+    assert spec.weights is None or all(type(w) is float for w in spec.weights)
+    # it hashes and compares as the spec of Python floats does
+    same = InterferometerSpec(3, float(phi), None if weights is None else (0.0, 1.0, 3.0))
+    assert spec == same and hash(spec) == hash(same) and len({spec, same}) == 1
+    # and every computation gives that spec's bits
+    assert compose_qufti(spec).tobytes() == compose_qufti(same).tobytes()
+    assert fock_output_distribution(spec) == fock_output_distribution(same)
+    assert repr(sensitivity_for_mask(spec)) == repr(sensitivity_for_mask(same))
 
 
 def _old_mask_phases(kind: str, n: int, phi: float, rng) -> tuple[dict, np.ndarray]:
@@ -245,6 +264,10 @@ def test_count_is_one_check(call, name, least):
 SIZE_LIMITS = {
     "permanent_naive": (lambda: permanent_naive(np.eye(11)), "need n <= 10, got 11"),
     "permanent_ryser": (lambda: permanent_ryser(np.eye(31)), "need n <= 30, got 31"),
+    # refused by size before its multiplicities are read
+    "permanent_with_repeats": (
+        lambda: permanent_with_repeats(np.eye(31), [0.5] * 31), "need n <= 30, got 31"
+    ),
     "conjecture_verify": (lambda: conjecture_verify(31, 2), "need n_max <= 30, got 31"),
     "fock_output_distribution": (
         lambda: fock_output_distribution(InterferometerSpec(10, 0.1)), "need n <= 9, got 10"

@@ -44,6 +44,19 @@ def test_small_angle_binomial_identity():
         )
 
 
+def test_small_angle_refuses_n_whose_product_overflows():
+    # 2.0 n (n + 1) (n - 1) overflowed above the limit, and the law came back 0.0
+    limit = 2**341 - 2**287  # metrology.SMALL_ANGLE_N_LIMIT
+    assert math.isfinite(2.0 * limit * (limit + 1) * (limit - 1))
+    assert not math.isfinite(2.0 * (limit + 1) * (limit + 2) * limit)
+    delta = phase_sensitivity_small_angle(limit)
+    assert delta == math.sqrt(3.0 / (2.0 * limit * (limit + 1) * (limit - 1))) > 1e-154
+    for n in (limit + 1, 10**107, 2 * 10**156):
+        with pytest.raises(SizeLimitError) as exc:
+            phase_sensitivity_small_angle(n)
+        assert str(exc.value) == f"need n <= {limit}, got {n}"
+
+
 def test_small_angle_rejects_n1():
     with pytest.raises(ValueError):
         phase_sensitivity_small_angle(1)

@@ -622,13 +622,13 @@ def test_kernels_accept_nested_lists():
     assert permanent_with_repeats(rows, [2, 0, 1]) == permanent_with_repeats(m, [2, 0, 1])
     assert permanent_ryser([[1, 2], [3, 4]]) == permanent_naive([[1, 2], [3, 4]]) == 10
     assert permanent_with_repeats(np.eye(2), np.array([1, 1])) == 1  # numpy integers count
-    assert permanent_with_repeats(np.eye(2), [True, np.uint8(1)]) == 1  # and Python bools
+    assert permanent_with_repeats(np.eye(2), [1, np.uint8(1)]) == 1  # of any width
     with pytest.raises(ValueError, match="must be square"):
         permanent_ryser([[1, 2, 3], [4, 5, 6]])
 
 
 @pytest.mark.parametrize("mult", [[1.0, 1.0], [1.5, 0.5], ["1", "1"], [-1, 3],
-                                  [np.float64(1.0), 1], [np.True_, 1]])
+                                  [np.float64(1.0), 1], [np.True_, 1], [True, 1], (True, True)])
 def test_with_repeats_rejects_non_integer_multiplicities(mult):
     with pytest.raises(ValueError, match="non-negative integers"):
         permanent_with_repeats(np.eye(2), mult)

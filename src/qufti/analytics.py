@@ -39,20 +39,6 @@ def _result(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _factors(n: int, c: float | np.ndarray) -> list:
-    """The n - 1 factors [a(j) c + b(j)] / n^2 of the probability product.
-
-    a(j) = 2j(n-j) and b(j) = n^2 - 2jn + 2j^2 for j = 1..n-1; note
-    a + b = n^2 and b - a = (n-2j)^2. c is cos(n phi) times the damping,
-    a float or an ndarray. b(j) stays parenthesised: summed apart, it
-    keeps the rounding bit for bit.
-    """
-    return [
-        (2 * j * (n - j) * c + (n * n - 2 * j * n + 2 * j * j)) / (n * n)
-        for j in range(1, n)
-    ]
-
-
 def permanent_closed_form(n: int, phi: float) -> complex:
     """Conjectured product form of the interferometer permanent.
 
@@ -88,8 +74,14 @@ def coincidence_probability(
 
 
 def _signal(n: int, phi, damping):
-    """P, |dP/dphi| and sin(n phi) from one phase and one factor list; an array
-    call starts the running product p = P from ones, so n = 1 keeps its shape."""
+    """P, |dP/dphi| and sin(n phi) from one phase and one running product.
+
+    Factor j is [a(j) c + b(j)] / n^2 with a(j) = 2j(n-j), b(j) = n^2 - 2jn + 2j^2 and c
+    cos(n phi) times the damping; note a + b = n^2 and b - a = (n-2j)^2. b(j) stays
+    parenthesised: summed apart, it keeps the rounding bit for bit. dP/dc rides along by the
+    product rule (forward mode), so no factor list is held and a vanishing factor gives no
+    0/0. An array call starts p = P from ones, so n = 1 keeps its shape.
+    """
     n = _count(n, 1)
     x = _phase(n, phi)
     d = np.asarray(damping)
@@ -97,15 +89,13 @@ def _signal(n: int, phi, damping):
         raise ValueError(f"need 0 <= damping <= 1, got {float(bad[0])!r}")
     sin = _libm(math.sin, x)
     c = _libm(math.cos, x) * damping
-    factors = _factors(n, c)
-    suffix = [1.0] * n  # suffix[i] = product of factors[i:]
-    for i in range(n - 2, -1, -1):
-        suffix[i] = suffix[i + 1] * factors[i]
-    p, leave_one_out = (np.ones(np.shape(c)) if np.ndim(c) else 1.0), 0.0
-    for j in range(1, n):  # p * suffix[j] leaves out factors[j - 1]
-        leave_one_out = leave_one_out + (2 * j * (n - j) / (n * n)) * p * suffix[j]
-        p = p * factors[j - 1]
-    return p, n * np.abs(sin) * damping * leave_one_out, sin
+    p, dp_dc = (np.ones(np.shape(c)) if np.ndim(c) else 1.0), 0.0
+    for j in range(1, n):
+        a = 2 * j * (n - j)
+        factor = (a * c + (n * n - 2 * j * n + 2 * j * j)) / (n * n)
+        dp_dc = dp_dc * factor + (a / (n * n)) * p
+        p = p * factor
+    return p, n * np.abs(sin) * damping * dp_dc, sin
 
 
 def probability_derivative(
@@ -113,8 +103,8 @@ def probability_derivative(
 ) -> float | np.ndarray:
     """|dP/dphi| of the coincidence probability, analytic form.
 
-    Evaluated as a sum of leave-one-out products rather than P times a sum
-    of ratios, so factors that hit zero do not produce 0/0. `damping`
+    Carried through the product by the product rule rather than taken as P
+    times a sum of ratios, so factors that hit zero do not produce 0/0. `damping`
     scales the cosine term as in coincidence_probability; phi and damping
     broadcast as there.
     """

@@ -27,12 +27,17 @@ class SizeLimitError(ValueError):
     """A count above the largest its computation is admitted at: `need n <= 30, got 31`."""
 
 
+FLOAT_COUNT_LIMIT = 2**1024 - 2**970 - 1  # the largest int whose float is finite
+
+
 def _count(n: int, least: int, name: str = "n", most: int | None = None) -> int:
     """n as an int, or a ValueError: `need an integer n, got 2.5` or `need n >= 2, got 1`, and
     above most a SizeLimitError, `need n <= 30, got 31`. The library's one check of a photon,
     mode or sample number and of every size limit, made before any array is built; a numpy
-    integer passes, a float or a bool never does, not even 3.0. Its companion for phases is
-    _phase."""
+    integer passes, a float or a bool never does, not even 3.0. Every count is used as a float
+    somewhere, so one above FLOAT_COUNT_LIMIT is a SizeLimitError whatever most is; its message
+    gives the size as a power of two, as str() refuses an int of more than 4,300 digits. Its
+    companion for phases is _phase."""
     try:
         if n is True or n is False:  # an int subclass, which operator.index takes
             raise TypeError
@@ -41,6 +46,10 @@ def _count(n: int, least: int, name: str = "n", most: int | None = None) -> int:
         raise ValueError(f"need an integer {name}, got {n}") from None
     if n < least:
         raise ValueError(f"need {name} >= {least}, got {n}")
+    if n > FLOAT_COUNT_LIMIT:
+        raise SizeLimitError(
+            f"need {name} to convert to a finite float, got {name} >= 2**{n.bit_length() - 1}"
+        )
     if most is not None and n > most:
         raise SizeLimitError(f"need {name} <= {most}, got {n}")
     return n

@@ -32,7 +32,14 @@ import numpy as np
 
 from . import analytics
 from .analytics import _libm, _result
-from .matrices import InterferometerSpec, _circulant, _count, _phase, compose_qufti
+from .matrices import (
+    FLOAT_COUNT_LIMIT,
+    InterferometerSpec,
+    _circulant,
+    _count,
+    _phase,
+    compose_qufti,
+)
 from .permanent import RYSER_DIM_LIMIT, _walk, permanent_with_repeats
 
 # Noiseless P this close to a double root (0 or 1, relative) takes the root's limit.
@@ -45,6 +52,8 @@ STATIONARY_SIN_TOL = 1e-12
 DISTRIBUTION_MODE_LIMIT = 9
 
 SMALL_ANGLE_N_LIMIT = 2**341 - 2**287  # the largest n with 2.0 n (n + 1) (n - 1) finite
+# the largest n whose ORC count 1 + n (n - 1) / 2 has a finite float
+ORC_N_LIMIT = (1 + math.isqrt(8 * FLOAT_COUNT_LIMIT - 7)) // 2
 
 
 @dataclass(frozen=True)
@@ -64,9 +73,11 @@ class DephasingParams:
 
     @np.errstate(over="ignore")  # a huge variance gives -inf, which damps to 0
     def damping(self, n: int) -> float | np.ndarray:
-        """Signal damping factor exp(-n^2 <dchi^2> / 2)."""
-        x = -0.5 * n * n * np.asarray(self.chi_sq, dtype=float)
-        return _result(_libm(math.exp, x))
+        """Signal damping factor exp(-n^2 <dchi^2> / 2), 1 without noise at any n."""
+        chi_sq = np.asarray(self.chi_sq, dtype=float)
+        if (scale := -0.5 * n * n) == -math.inf:  # n^2 overflows, and -inf * 0 is nan
+            return _result(np.where(chi_sq > 0, 0.0, 1.0))
+        return _result(_libm(math.exp, scale * chi_sq))
 
 
 @dataclass(frozen=True)
@@ -124,8 +135,9 @@ def _sensitivity(n, p, dp, sin, damping, at_maximum, root):
 
 
 def orc_photon_count(n: int) -> int:
-    """Equivalent photon number under Ordinal Resource Counting, 1 + n(n-1)/2."""
-    n = _count(n, 1)
+    """Equivalent photon number under Ordinal Resource Counting, 1 + n(n-1)/2; n is refused
+    above ORC_N_LIMIT, where the count has no finite float."""
+    n = _count(n, 1, most=ORC_N_LIMIT)
     return 1 + n * (n - 1) // 2
 
 

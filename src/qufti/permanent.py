@@ -259,11 +259,13 @@ def permanent_with_repeats(
     """
     n = len(a := _square(m, RYSER_DIM_LIMIT))
     try:
-        mult = list(map(operator.index, col_multiplicities))
-    except TypeError:  # a float, a string or a numpy bool
+        mult = list(col_multiplicities)  # read once: a one-shot iterator has no second pass
+        if bool in map(type, mult):  # operator.index takes a Python bool
+            raise TypeError
+        mult = list(map(operator.index, mult))
+    except TypeError:  # not a sequence, a float, a string or a bool
         mult = None
-    if (mult is None or len(mult) != n or min(mult, default=0) < 0
-            or bool in map(type, col_multiplicities)):  # operator.index takes a Python bool
+    if mult is None or len(mult) != n or min(mult, default=0) < 0:
         raise ValueError(f"multiplicities must be {n} non-negative integers")
     total = sum(mult)
     if total != n:

@@ -1,6 +1,7 @@
 """Closed-form permanent, coincidence probability, derivative, conjecture harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,25 +176,15 @@ def probability_per_coefficient(n, phi, damping):
 
 
 def derivative_per_coefficient(n, phi, damping):
-    """Reference: leave-one-out sum over factors rebuilt from a(j), b(j)."""
-    if n == 1:
-        return 0.0
+    """Reference: dP/dc carried by the product rule over factors rebuilt from a(j), b(j)."""
     c = math.cos(n * phi) * damping
-    a = [float(2 * j * (n - j)) for j in range(1, n)]
-    b = [float(n * n - 2 * j * n + 2 * j * j) for j in range(1, n)]
-    factors = [(a[j - 1] * c + b[j - 1]) / (n * n) for j in range(1, n)]
-    m = len(factors)
-    prefix = [1.0] * (m + 1)
-    for i in range(m):
-        prefix[i + 1] = prefix[i] * factors[i]
-    suffix = [1.0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * factors[i]
-    # left to right: from Python 3.12 sum() adds floats with Neumaier compensation
-    leave_one_out = 0.0
+    p, dp_dc = 1.0, 0.0
     for j in range(1, n):
-        leave_one_out += (a[j - 1] / (n * n)) * prefix[j - 1] * suffix[j]
-    return n * abs(math.sin(n * phi)) * damping * leave_one_out
+        a = float(2 * j * (n - j))
+        factor = (a * c + float(n * n - 2 * j * n + 2 * j * j)) / (n * n)
+        dp_dc = dp_dc * factor + (a / (n * n)) * p
+        p *= factor
+    return n * abs(math.sin(n * phi)) * damping * dp_dc
 
 
 @pytest.mark.parametrize("damping", [1.0, 0.7])
@@ -219,23 +210,14 @@ def probability_scalar_reference(n, phi, damping):
 
 
 def derivative_scalar_reference(n, phi, damping):
-    """Reference: the float-only leave-one-out sum of the previous release."""
+    """Reference: the float-only running product, dP/dc by the product rule."""
     c = math.cos(n * phi) * damping
-    factors = [
-        (2 * j * (n - j) * c + (n * n - 2 * j * n + 2 * j * j)) / (n * n) for j in range(1, n)
-    ]
-    m = len(factors)
-    prefix = [1.0] * (m + 1)
-    for i in range(m):
-        prefix[i + 1] = prefix[i] * factors[i]
-    suffix = [1.0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * factors[i]
-    # the release summed with sum(), which adds left to right before Python 3.12
-    leave_one_out = 0.0
+    p, dp_dc = 1.0, 0.0
     for j in range(1, n):
-        leave_one_out += (2 * j * (n - j) / (n * n)) * prefix[j - 1] * suffix[j]
-    return n * abs(math.sin(n * phi)) * damping * leave_one_out
+        factor = (2 * j * (n - j) * c + (n * n - 2 * j * n + 2 * j * j)) / (n * n)
+        dp_dc = dp_dc * factor + (2 * j * (n - j) / (n * n)) * p
+        p *= factor
+    return n * abs(math.sin(n * phi)) * damping * dp_dc
 
 
 def test_array_path_bit_identical_to_scalar_loop():
@@ -267,6 +249,45 @@ def test_array_path_bit_identical_to_scalar_loop():
     # a float call returns a float, so the CLI's repr prints a plain number
     assert type(coincidence_probability(3, 0.2)) is float
     assert type(probability_derivative(3, 0.2, 0.5)) is float
+
+
+def derivative_in_mpmath(n, x, damping, mpmath):
+    """|dP/dphi| at phase x = n phi to 50 digits, as P times the sum of a(j) / (n^2 f_j)."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        c = mpmath.cos(x) * damping
+        f = [(2 * j * (n - j) * c + (n * n - 2 * j * n + 2 * j * j)) / (n * n) for j in range(1, n)]
+        ratios = mpmath.fsum(mpmath.mpf(2 * j * (n - j)) / (n * n * f[j - 1]) for j in range(1, n))
+        return abs(n * mpmath.sin(x) * damping * mpmath.fprod(f) * ratios)
+
+
+def test_derivative_against_mpmath():
+    # the reference takes the phase n phi as the library rounds it, so a phase near a root of
+    # sin(n phi) does not count the input's own rounding against the product
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for n in [*range(2, 41), 64, 100, 200]:
+        phi = rng.uniform(0.0, 2 * math.pi / n, 50)
+        damping = rng.uniform(0.5, 1.0, 50)
+        dp = probability_derivative(n, phi, damping)
+        for x, d, value in zip((n * phi).tolist(), damping.tolist(), dp.tolist()):
+            exact = derivative_in_mpmath(n, x, d, mpmath)
+            worst = max(worst, float(abs(value - exact) / exact))
+    assert worst <= 1e-12  # 1.1e-13 measured
+
+
+def test_array_call_holds_a_few_rows_at_any_n():
+    # one running product: the n - 1 factor rows and n suffix rows of the leave-one-out sum
+    # held 79 MiB here
+    phi = np.linspace(0.001, 0.5, 1024)
+    tracemalloc.start()
+    try:
+        probability_derivative(5000, phi, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("damping,first", [

@@ -26,7 +26,7 @@ from qufti import (
     qft_matrix,
     sensitivity_for_mask,
 )
-from qufti.matrices import _circulant, _dft, _gradient, _rotations, phase_vector
+from qufti.matrices import FLOAT_COUNT_LIMIT, _circulant, _dft, _gradient, _rotations, phase_vector
 
 # Denominator modulus below which the closed-form entry is treated as 0/0.
 SINGULAR_TOL = 1e-14
@@ -258,6 +258,18 @@ def test_count_is_one_check(call, name, least):
         with pytest.raises(ValueError) as exc:
             call(bad)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call,name,least", COUNTS.values(), ids=COUNTS.keys())
+def test_count_beyond_the_float_range_is_a_size_limit(call, name, least):
+    # every count is used as a float; one whose float overflows raised OverflowError, and the
+    # message gives its size, as str() refuses an int of more than 4,300 digits
+    for n, bits in [(FLOAT_COUNT_LIMIT + 1, 1024), (10**400, 1329), (10**5000, 16610)]:
+        with pytest.raises(SizeLimitError) as exc:
+            call(n)
+        assert str(exc.value) == (
+            f"need {name} to convert to a finite float, got {name} >= 2**{bits - 1}"
+        )
 
 
 # Every size limit is the upper bound of a count in matrices._count: (call, its message).

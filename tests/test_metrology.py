@@ -28,7 +28,8 @@ from qufti import (
     sensitivity_for_mask,
     shotnoise_limit,
 )
-from qufti.metrology import _outcomes, dephased_derivative
+from qufti.matrices import FLOAT_COUNT_LIMIT
+from qufti.metrology import ORC_N_LIMIT, _outcomes, dephased_derivative
 
 
 def test_small_angle_values():
@@ -109,6 +110,36 @@ def test_orc_photon_count():
     assert orc_photon_count(1) == 1
     assert orc_photon_count(2) == 2
     assert orc_photon_count(10) == 46
+
+
+def test_orc_count_refused_where_its_float_overflows():
+    # shotnoise_limit(10**200) raised OverflowError from 1 + n(n - 1)/2 as a float
+    assert math.isfinite(float(orc_photon_count(ORC_N_LIMIT)))
+    with pytest.raises(OverflowError):
+        float(1 + (ORC_N_LIMIT + 1) * ORC_N_LIMIT // 2)
+    assert shotnoise_limit(ORC_N_LIMIT) == 1.0 / math.sqrt(orc_photon_count(ORC_N_LIMIT)) > 0
+    assert heisenberg_limit(ORC_N_LIMIT) == 1.0 / orc_photon_count(ORC_N_LIMIT) > 0
+    for call in (orc_photon_count, shotnoise_limit, heisenberg_limit):
+        for n in (ORC_N_LIMIT + 1, 10**200):
+            with pytest.raises(SizeLimitError) as exc:
+                call(n)
+            assert str(exc.value) == f"need n <= {ORC_N_LIMIT}, got {n}"
+
+
+def test_counts_at_the_float_limit_keep_working():
+    # the largest admitted count: no OverflowError, no RuntimeWarning, and no signal lost
+    # without noise, where n^2 overflows the damping's exponent
+    n = FLOAT_COUNT_LIMIT
+    assert math.isfinite(float(n))
+    with pytest.raises(OverflowError):
+        float(n + 1)
+    assert protocol_efficiency(0.5, 0.5, n) == 0.0
+    assert protocol_efficiency(1.0, 1.0, n) == 1.0
+    assert noon_dephased_sensitivity(n, 0.1, DephasingParams(0.0)) == 1.0 / n
+    delta = noon_dephased_sensitivity(n, np.array([0.1, 0.2]), DephasingParams(0.0))
+    assert delta.tolist() == [1.0 / n, 1.0 / n]
+    assert DephasingParams(0.0).damping(n) == 1.0
+    assert DephasingParams(np.array([0.0, 1e-300])).damping(n).tolist() == [1.0, 0.0]
 
 
 def test_baselines():

@@ -632,3 +632,14 @@ def test_kernels_accept_nested_lists():
 def test_with_repeats_rejects_non_integer_multiplicities(mult):
     with pytest.raises(ValueError, match="non-negative integers"):
         permanent_with_repeats(np.eye(2), mult)
+
+
+def test_with_repeats_reads_a_one_shot_iterator_once():
+    # the bool check read the iterator after operator.index had used it up, so
+    # iter([True, True]) passed and gave Per(I) = 1
+    for mult in (iter([True, True]), (b for b in (True, True)), iter([True, 1]), 5, None):
+        with pytest.raises(ValueError) as exc:
+            permanent_with_repeats(np.eye(2), mult)
+        assert str(exc.value) == "multiplicities must be 2 non-negative integers"
+    assert permanent_with_repeats(np.eye(2), iter([1, 1])) == 1
+    assert permanent_with_repeats(np.eye(2), (k for k in (2, 0))) == 0

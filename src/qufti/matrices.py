@@ -59,19 +59,21 @@ def _phase(w: float, phi: float | np.ndarray) -> float | np.ndarray:
     """w phi, or a ValueError naming the first phi at which it is not finite; a float phi gives
     a float. The library's one check of a phase product: w is the spec's largest |weight|, the
     closed forms' n, the NOON comparator's N or the mask sensitivity's weight spread. Its
-    companion for counts is _count."""
+    companion for counts is _count. An int w above 2^53 is shown as its float, not in full."""
     if type(phi) is float:
         x = w * phi  # w, a checked count or weight, is a Python number: no numpy warning
-        if not math.isfinite(x):
-            raise ValueError(f"{w} * phi must be finite, got phi = {phi!r}")
-        return x
-    phi = np.asarray(phi, dtype=float)
-    with np.errstate(over="ignore"):
-        x = w * phi
-    if not np.isfinite(x).all():
+        if math.isfinite(x):
+            return x
+        bad = phi
+    else:
+        phi = np.asarray(phi, dtype=float)
+        with np.errstate(over="ignore"):
+            x = w * phi
+        if np.isfinite(x).all():
+            return x
         bad = float(phi[~np.isfinite(x)].flat[0])
-        raise ValueError(f"{w} * phi must be finite, got phi = {bad!r}")
-    return x
+    shown = float(w) if isinstance(w, int) and w > 2**53 else w
+    raise ValueError(f"{shown} * phi must be finite, got phi = {bad!r}")
 
 
 @dataclass(frozen=True)

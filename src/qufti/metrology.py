@@ -91,8 +91,11 @@ class OutcomeDistribution:
         return math.fsum(p for _, p in self.entries)
 
     def probability_of(self, occupation: Sequence[int]) -> float:
-        """The probability of an occupation given as any sequence of integers."""
-        key = tuple(map(operator.index, occupation))
+        """The probability of an occupation given as any sequence of integers, never bools."""
+        key = tuple(occupation)
+        if bool in map(type, key):  # operator.index takes a Python bool, not a numpy one
+            raise TypeError("'bool' object cannot be interpreted as an integer")
+        key = tuple(map(operator.index, key))
         for occ, p in self.entries:
             if occ == key:
                 return p

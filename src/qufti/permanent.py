@@ -15,12 +15,14 @@ sums from two tables of half sums, one add per row sum, and inputs differ
 only in the list of sign vectors it sums. The tables are one BLAS product of
 A with a cached matrix of +1, -1 and 0. Each table entry carries the sign
 of the half it stands for, so a vector's sign is a product of two. A
-general matrix takes all 2^(n-1), each of weight 1, as one cached block
-whose table entries are shifted per block and whose signs are negated where
-the block's start has odd parity. A circulant matrix, as every QuFTI
-unitary V D V+ is, has the same summand on all rotations and negations of a
-sign vector (Glynn, Eur. J. Combin. 31, 2010), so it takes one vector per
-orbit, about 2^(n-1) / n of them, each weighted by its orbit's share.
+general matrix takes all 2^(n-1), each of weight 1, in blocks of
+consecutive sign vectors: a block's row sums are a slice of high entries
+added to a slice of low ones, read as views of the tables, and its signs
+are one cached block's, negated where the block's start has odd parity. A
+circulant matrix, as every QuFTI unitary V D V+ is, has the same summand on
+all rotations and negations of a sign vector (Glynn, Eur. J. Combin. 31,
+2010), so it takes one vector per orbit, about 2^(n-1) / n of them, each
+weighted by its orbit's share, whose entries it gathers by index.
 
 The sign vectors run along the last axis: a block's row sums are n rows of
 one entry per vector, so each product is n - 1 of numpy's vectorised binary
@@ -43,7 +45,6 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -59,7 +60,7 @@ RYSER_DIM_LIMIT = 30
 KERNEL = "glynn"
 
 # Sign vectors evaluated per vectorised block of the walk. A power of two: a general matrix's
-# blocks are one template, shifted per block (see _half_rows).
+# blocks are slices of the half-sum table (see _half_rows).
 _BLOCK = 1024
 
 # Sign vectors scanned per chunk while an orbit schedule is built.
@@ -127,24 +128,24 @@ def _orbit_schedule(
 @functools.cache
 def _half_rows(
     n: int,
-) -> tuple[NDArray[np.complex128], NDArray[np.float64], NDArray[np.intp], NDArray[np.intp],
-           NDArray[np.float64], NDArray[np.float64]]:
-    """The walk's half-sum table for size n, and a general matrix's first block of sign vectors.
+) -> tuple[NDArray[np.complex128], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """The walk's half-sum table for size n, and the signs of a general matrix's first block.
 
     A sign vector's row sums split at column h = n // 2 into a low half (the columns below
     h) and a high half (the rest; column n - 1 keeps +1). The table holds every choice of
     signs of each half, low entries first, so one entry of each added gives any vector's
-    row sums. Returns table, sign, hi, lo, signs and -signs:
+    row sums. Returns table, sign, signs and -signs:
     - table is the (n, 2^h + 2^(n-1-h)) matrix whose column e holds delta_j on each column
       j of A that entry e picks and 0 elsewhere, so A @ table is every entry's half sum;
     - sign[e] is the product of the delta_j entry e picks, times Glynn's 2^(1-n) for a low
       entry, so sign[hi] * sign[lo] is a vector's 2^(1-n) prod_k delta_k;
-    - hi, lo and signs are the entries and signs of x = 0 .. _BLOCK - 1 (bit j of x set
-      means delta_j = -1), at most 2^(n-1) of them.
-    The block x = s .. s + _BLOCK - 1, s a multiple of _BLOCK, is that template with s >> h
-    added to its high entries and s mod 2^h to its low ones, with -signs when popcount(s) is
-    odd: as _BLOCK is a power of two, s and x - s share no set bit, so each half of x is
-    that of s plus that of x - s. It depends on n alone, so it is read-only and cached. The
+    - signs are those of x = 0 .. B - 1 (bit j of x set means delta_j = -1), B the lesser of
+      _BLOCK and 2^(n-1), whose entries are hi = 2^h + (x >> h) and lo = x mod 2^h.
+    The block x = s .. s + B - 1, s a multiple of B, has the signs of x - s, negated when
+    popcount(s) is odd: as B is a power of two, s and x - s share no set bit. Its entries are
+    consecutive: B >> h high ones from that of s, each against all 2^h low ones, or, where
+    B <= 2^h, the high entry of s against B low ones from s mod 2^h, so its row sums are two
+    slices of the half sums added. It depends on n alone, so it is read-only and cached. The
     table is complex, as numpy would otherwise cast it for every product: 22.5 MiB at n = 30.
     """
     h = n // 2
@@ -157,26 +158,11 @@ def _half_rows(
     picked = np.where(bits.sum(axis=1) & 1, -1.0, 1.0)  # a high entry's bits are its index's
     sign = np.concatenate([picked * math.ldexp(1.0, 1 - n), picked[:len(free)]])
     x = np.arange(min(_BLOCK, 1 << (n - 1)))
-    hi, lo = (x >> h) + (1 << h), x & ((1 << h) - 1)
-    signs = sign[hi] * sign[lo]
-    parts = table, sign, hi, lo, signs, -signs
+    signs = sign[(x >> h) + (1 << h)] * sign[x & ((1 << h) - 1)]
+    parts = table, sign, signs, -signs
     for part in parts:
         part.setflags(write=False)
     return parts
-
-
-def _plain_blocks(
-    n: int,
-) -> Iterator[tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64]]]:
-    """Every sign vector x < 2^(n-1), each of weight 1, as the walk's blocks: the template of
-    _half_rows (x = 0 .. _BLOCK - 1, all of them up to n = 11), then that template with its
-    entries shifted and its signs flipped for each later block."""
-    _, _, hi, lo, signs, negated = _half_rows(n)
-    yield hi, lo, signs
-    h = n // 2
-    for start in range(len(hi), 1 << (n - 1), len(hi)):
-        yield (hi + (start >> h), lo + (start & ((1 << h) - 1)),
-               negated if start.bit_count() & 1 else signs)
 
 
 def _add_terms(
@@ -226,13 +212,25 @@ def _walk(a: NDArray[np.complex128]) -> np.complex128 | NDArray[np.complex128]:
     check that 1 <= n <= RYSER_DIM_LIMIT and pass a C-order complex stack.
     """
     k, n, _ = a.shape
-    halves = a.reshape(k * n, n) @ _half_rows(n)[0]  # every entry's half sum, per row
-    blocks = _orbit_schedule(n) if n > 1 and _is_circulant(a) else _plain_blocks(n)
+    table, _, signs, negated = _half_rows(n)
+    halves = a.reshape(k * n, n) @ table  # every entry's half sum, per row
     total = 0j
-    for high, low, weights in blocks:
-        sums = halves.take(high, axis=1)  # (k n, block): a sign vector's row sums per column
-        sums += halves.take(low, axis=1)
-        total = _add_terms(total, sums, weights, k, n)
+    if n > 1 and _is_circulant(a):
+        for high, low, weights in _orbit_schedule(n):
+            sums = halves.take(high, axis=1)  # (k n, block): a sign vector's row sums per column
+            sums += halves.take(low, axis=1)
+            total = _add_terms(total, sums, weights, k, n)
+        return total
+    h = n // 2
+    rows, cols = max(1, len(signs) >> h), min(1 << h, len(signs))  # a block's entries, per half
+    # later blocks write into the first one's array: a fresh result of 256 KiB or more per
+    # block is mapped and faulted in anew by the allocator, which doubled the walk at n = 16
+    sums = None
+    for start in range(0, 1 << (n - 1), len(signs)):
+        high, low = (1 << h) + (start >> h), start & ((1 << h) - 1)
+        sums = np.add(halves[:, high:high + rows, None], halves[:, None, low:low + cols], out=sums)
+        total = _add_terms(total, sums.reshape(k * n, -1),
+                           negated if start.bit_count() & 1 else signs, k, n)
     return total
 
 

@@ -210,6 +210,10 @@ PHASE_OVERFLOWS = {
         lambda: noon_dephased_sensitivity(np.int64(4), 5e307, DephasingParams(0.0)),
         "4 * phi must be finite, got phi = 5e+307",
     ),
+    "noon_dephased_sensitivity_huge_n": (  # an int N above 2**53 is shown as its float
+        lambda: noon_dephased_sensitivity(10**300, 1e10, DephasingParams(0.0)),
+        "1e+300 * phi must be finite, got phi = 10000000000.0",
+    ),
     "sensitivity_for_mask": (  # the weight spread 2e300, not any one weight, overflows
         lambda: sensitivity_for_mask(InterferometerSpec(3, 1e8, (-1e300, 1e300, 0.0))),
         "2e+300 * phi must be finite, got phi = 100000000.0",

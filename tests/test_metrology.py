@@ -373,8 +373,9 @@ def test_probability_of_takes_any_integer_sequence():
     for missing in ([1, 1], np.array([1, 1, 2]), [3, 0, 0, 0]):
         with pytest.raises(KeyError, match="no outcome"):
             dist.probability_of(missing)
-    with pytest.raises(TypeError):
-        dist.probability_of([1.0, 1.0, 1.0])
+    for not_integers in ([1.0, 1.0, 1.0], [True, True, True], np.ones(3, dtype=bool)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            dist.probability_of(not_integers)
 
 
 def test_distribution_all_ones_matches_closed_form():

@@ -324,10 +324,10 @@ def test_orbit_representatives_cover_each_sign_vector_once(n):
     hi, lo, signs = map(np.concatenate, zip(*blocks))
     assert ((hi - (1 << h)) << h | lo).tolist() == [x for x, _ in reps]
     assert signs.tolist() == [(-1) ** bin(x).count("1") * w * 2.0 ** (1 - n) for x, w in reps]
-    # and a general matrix's template, tiled over its blocks, every x < 2^(n-1) once, in
-    # increasing order, with weight 1
+    # and a general matrix's first-block signs, tiled over its blocks, every x < 2^(n-1) once,
+    # in increasing order, with weight 1
     parts = _half_rows(n)
-    table, sign, hi, lo, plus, minus = parts
+    table, sign, plus, minus = parts
     assert table.shape == (n, (1 << h) + (1 << (n - 1 - h)))
     assert set(table.ravel().tolist()) <= {-1, 0, 1}
     for e, column in enumerate(table.T.tolist()):
@@ -339,12 +339,10 @@ def test_orbit_representatives_cover_each_sign_vector_once(n):
                           for j in range(n)]
         glynn = 2.0 ** (1 - n) if e < 1 << h else 1.0
         assert sign[e] == math.prod(column[j] for j in picked) * glynn
-    xs, tiled = [], []
-    for start in range(0, 1 << (n - 1), len(hi)):
-        xs += ((hi + (start >> h) - (1 << h)) << h | lo + (start & ((1 << h) - 1))).tolist()
+    tiled = []
+    for start in range(0, 1 << (n - 1), len(plus)):
         tiled += (minus if bin(start).count("1") % 2 else plus).tolist()
-    assert xs == list(range(1 << (n - 1)))
-    assert tiled == [(-1) ** bin(x).count("1") * 2.0 ** (1 - n) for x in xs]
+    assert tiled == [(-1) ** bin(x).count("1") * 2.0 ** (1 - n) for x in range(1 << (n - 1))]
     assert not any(part.flags.writeable for part in [*parts, *itertools.chain(*blocks)])
 
 
@@ -539,8 +537,12 @@ def test_ryser_general_matrices_against_glynn_in_mpmath():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_walk_jet_matches_permutation_sum_of_truncated_polynomials(n):
-    # Per(A0 + t A1 + t^2 A2) to order t^2: each permutation's product of entry polynomials
+def test_walk_jet_matches_permutation_sum_of_truncated_polynomials(n, monkeypatch):
+    # Per(A0 + t A1 + t^2 A2) to order t^2: each permutation's product of entry polynomials.
+    # Blocks of 2, 4 or 8 sign vectors split the walk of a general stack, with the default's
+    # bits: a block spans a slice of low half-sum entries under one high one (n = 6 at 8), or
+    # several high ones against all the low ones (n = 4 and 5 at 8, every n >= 3 at 1024);
+    # the caches are rebuilt either side
     rng = np.random.default_rng(40 + n)
     jet = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
     expected = np.zeros(3, dtype=complex)
@@ -549,9 +551,20 @@ def test_walk_jet_matches_permutation_sum_of_truncated_polynomials(n):
         for i, j in enumerate(perm):
             poly = np.polynomial.polynomial.polymul(poly, jet[:, i, j])[:3]
         expected += poly
-    got = _walk(jet)
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
-    assert got[0] == pytest.approx(permanent_ryser(jet[0]), rel=1e-14, abs=1e-14)
+    try:
+        walks = []
+        for block in (1024, 2, 4, 8):
+            monkeypatch.setattr(permanent, "_BLOCK", block)
+            _half_rows.cache_clear()
+            _orbit_schedule.cache_clear()
+            got = _walk(jet)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+            assert got[0] == pytest.approx(permanent_ryser(jet[0]), rel=1e-14, abs=1e-14)
+            walks.append(list(map(hex_parts, got)))
+        assert walks[1:] == walks[:1] * 3
+    finally:
+        _half_rows.cache_clear()
+        _orbit_schedule.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(2, 7))

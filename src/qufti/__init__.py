@@ -20,7 +20,6 @@ from .matrices import InterferometerSpec, SizeLimitError, compose_qufti, qft_mat
 from .metrology import (
     DephasingParams,
     OutcomeDistribution,
-    dephased_probability,
     dephased_sensitivity,
     fock_output_distribution,
     heisenberg_limit,
@@ -42,7 +41,6 @@ __all__ = [
     "coincidence_probability",
     "compose_qufti",
     "conjecture_verify",
-    "dephased_probability",
     "dephased_sensitivity",
     "fock_output_distribution",
     "heisenberg_limit",

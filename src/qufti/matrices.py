@@ -33,11 +33,12 @@ FLOAT_COUNT_LIMIT = 2**1024 - 2**970 - 1  # the largest int whose float is finit
 def _count(n: int, least: int, name: str = "n", most: int | None = None) -> int:
     """n as an int, or a ValueError: `need an integer n, got 2.5` or `need n >= 2, got 1`, and
     above most a SizeLimitError, `need n <= 30, got 31`. The library's one check of a photon,
-    mode or sample number and of every size limit, made before any array is built; a numpy
-    integer passes, a float or a bool never does, not even 3.0. Every count is used as a float
-    somewhere, so one above FLOAT_COUNT_LIMIT is a SizeLimitError whatever most is; its message
-    gives the size as a power of two, as str() refuses an int of more than 4,300 digits. Its
-    companion for phases is _phase."""
+    mode or sample number, of each entry of permanent_with_repeats' multiplicities and of
+    OutcomeDistribution.probability_of's occupation, and of every size limit, made before any
+    array is built; a numpy integer passes, a float or a bool never does, not even 3.0. Every
+    count is used as a float somewhere, so one above FLOAT_COUNT_LIMIT is a SizeLimitError
+    whatever most is; its message gives the size as a power of two, as str() refuses an int of
+    more than 4,300 digits. Its companion for phases is _phase."""
     try:
         if n is True or n is False:  # an int subclass, which operator.index takes
             raise TypeError

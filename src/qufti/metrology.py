@@ -22,9 +22,9 @@ composed unitary at the spec's own phi, and of its exact phi-derivatives.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -90,16 +90,17 @@ class OutcomeDistribution:
     def total(self) -> float:
         return math.fsum(p for _, p in self.entries)
 
+    @functools.cached_property
+    def _index(self) -> dict[tuple[int, ...], float]:
+        return dict(reversed(self.entries))  # an occupation listed twice keeps its first entry
+
     def probability_of(self, occupation: Sequence[int]) -> float:
-        """The probability of an occupation given as any sequence of integers, never bools."""
-        key = tuple(occupation)
-        if bool in map(type, key):  # operator.index takes a Python bool, not a numpy one
-            raise TypeError("'bool' object cannot be interpreted as an integer")
-        key = tuple(map(operator.index, key))
-        for occ, p in self.entries:
-            if occ == key:
-                return p
-        raise KeyError(f"no outcome {key}")
+        """The probability of an occupation given as any sequence of integers, each read by
+        _count (a float, a bool or a negative entry is a ValueError), or a KeyError."""
+        key = tuple(_count(s, 0, "occupation") for s in occupation)
+        if (p := self._index.get(key)) is None:
+            raise KeyError(f"no outcome {key}")
+        return p
 
     def to_json_dict(self) -> dict:
         return {

@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -256,14 +255,11 @@ def permanent_with_repeats(
     all-ones reduces to permanent_ryser on the original matrix.
     """
     n = len(a := _square(m, RYSER_DIM_LIMIT))
-    try:
-        mult = list(col_multiplicities)  # read once: a one-shot iterator has no second pass
-        if bool in map(type, mult):  # operator.index takes a Python bool
-            raise TypeError
-        mult = list(map(operator.index, mult))
-    except TypeError:  # not a sequence, a float, a string or a bool
+    try:  # read once: a one-shot iterator has no second pass
+        mult = [_count(s, 0) for s in col_multiplicities]
+    except (TypeError, ValueError):  # not iterable, or an entry _count refuses
         mult = None
-    if mult is None or len(mult) != n or min(mult, default=0) < 0:
+    if mult is None or len(mult) != n:
         raise ValueError(f"multiplicities must be {n} non-negative integers")
     total = sum(mult)
     if total != n:

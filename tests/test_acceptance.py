@@ -15,7 +15,6 @@ from qufti import (
     coincidence_probability,
     compose_qufti,
     conjecture_verify,
-    dephased_probability,
     dephased_sensitivity,
     fock_output_distribution,
     heisenberg_limit,
@@ -27,6 +26,7 @@ from qufti import (
     protocol_efficiency,
     shotnoise_limit,
 )
+from qufti.metrology import dephased_probability
 
 
 def report(criterion: str, ok: bool):

@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "coincidence_probability",
     "compose_qufti",
     "conjecture_verify",
-    "dephased_probability",
     "dephased_sensitivity",
     "fock_output_distribution",
     "heisenberg_limit",

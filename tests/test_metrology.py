@@ -13,7 +13,6 @@ from qufti import (
     SizeLimitError,
     coincidence_probability,
     compose_qufti,
-    dephased_probability,
     dephased_sensitivity,
     fock_output_distribution,
     heisenberg_limit,
@@ -29,7 +28,7 @@ from qufti import (
     shotnoise_limit,
 )
 from qufti.matrices import FLOAT_COUNT_LIMIT
-from qufti.metrology import ORC_N_LIMIT, _outcomes, dephased_derivative
+from qufti.metrology import ORC_N_LIMIT, _outcomes, dephased_derivative, dephased_probability
 
 
 def test_small_angle_values():
@@ -373,9 +372,22 @@ def test_probability_of_takes_any_integer_sequence():
     for missing in ([1, 1], np.array([1, 1, 2]), [3, 0, 0, 0]):
         with pytest.raises(KeyError, match="no outcome"):
             dist.probability_of(missing)
-    for not_integers in ([1.0, 1.0, 1.0], [True, True, True], np.ones(3, dtype=bool)):
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+    # each entry is read by the library's count check, as a multiplicity is
+    for not_integers, shown in (([1.0, 1.0, 1.0], "1.0"), ([True, True, True], "True"),
+                                (np.ones(3, dtype=bool), "True")):
+        with pytest.raises(ValueError) as info:
             dist.probability_of(not_integers)
+        assert info.value.args == (f"need an integer occupation, got {shown}",)
+    with pytest.raises(ValueError) as info:
+        dist.probability_of([-1, 2, 2])
+    assert info.value.args == ("need occupation >= 0, got -1",)
+    # every outcome at n = 7 finds its own entry by key
+    dist = fock_output_distribution(InterferometerSpec(n=7, phi=1.234))
+    assert all(dist.probability_of(occ) == p for occ, p in dist.entries)
+    # an occupation listed twice gives its first entry's probability, as a scan would
+    twice = OutcomeDistribution(2, [((2, 0), 0.25), ((1, 1), 0.5), ((2, 0), 0.75)])
+    assert twice.probability_of([2, 0]) == 0.25
+    assert twice.probability_of((1, 1)) == 0.5
 
 
 def test_distribution_all_ones_matches_closed_form():

@@ -641,8 +641,10 @@ def test_kernels_accept_nested_lists():
 
 
 @pytest.mark.parametrize("mult", [[1.0, 1.0], [1.5, 0.5], ["1", "1"], [-1, 3],
-                                  [np.float64(1.0), 1], [np.True_, 1], [True, 1], (True, True)])
+                                  [np.float64(1.0), 1], [np.True_, 1], [True, 1], (True, True),
+                                  [10**5000, 0]])
 def test_with_repeats_rejects_non_integer_multiplicities(mult):
+    # 10**5000 is refused as an entry, before a sum too long for str() reaches a message
     with pytest.raises(ValueError, match="non-negative integers"):
         permanent_with_repeats(np.eye(2), mult)
 
